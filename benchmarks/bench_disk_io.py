@@ -1,9 +1,9 @@
 """Disk-resident M*(k) benchmarks (the paper's Section 6 future work).
 
-Measures physical page reads of the paged M*(k)-index under the workload
-for a sweep of buffer-pool sizes, and the locality benefit of top-down
-evaluation (short queries stay inside the small coarse components, so a
-tiny hot set serves most of the workload).
+Measures physical page reads of an M*(k)-index served from a segment
+under the workload for a sweep of buffer-pool sizes, and the locality
+benefit of top-down evaluation (short queries stay inside the small
+coarse components, so a tiny hot set serves most of the workload).
 """
 
 import os
@@ -12,30 +12,32 @@ import tempfile
 from conftest import run_once
 
 from repro.indexes.mstarindex import MStarIndex
-from repro.storage.diskindex import DiskMStarIndex
+from repro.indexes.segmented import SegmentMStarIndex
+from repro.storage.serialization import save_mstar
 
 
 def _build_disk_index(graph, workload, path, page_size=2048):
     index = MStarIndex(graph)
     for expr in workload:
         index.refine(expr, index.query(expr))
-    DiskMStarIndex.build(index, path, page_size=page_size).close()
+    save_mstar(index, path, page_size=page_size)
 
 
 def test_io_vs_buffer_size(benchmark, xmark_graph, xmark_workload_len9):
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "xmark.rpdi")
+        path = os.path.join(tmp, "xmark.seg")
         _build_disk_index(xmark_graph, xmark_workload_len9, path)
 
         def run():
             rows = []
             for buffer_pages in (4, 16, 64, 256, 100_000):
-                with DiskMStarIndex(path, xmark_graph,
-                                    buffer_pages=buffer_pages) as disk:
+                with SegmentMStarIndex(path, xmark_graph,
+                                       buffer_pages=buffer_pages) as disk:
                     for expr in xmark_workload_len9:
                         disk.query(expr)
                     reads, hits = disk.io_stats()
-                    rows.append((buffer_pages, disk.page_count, reads, hits))
+                    rows.append((buffer_pages, disk.segment.num_pages,
+                                 reads, hits))
             return rows
 
         rows = run_once(benchmark, run)
@@ -53,13 +55,13 @@ def test_io_vs_buffer_size(benchmark, xmark_graph, xmark_workload_len9):
 
 def test_short_query_locality(benchmark, xmark_graph, xmark_workload_len9):
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "xmark.rpdi")
+        path = os.path.join(tmp, "xmark.seg")
         _build_disk_index(xmark_graph, xmark_workload_len9, path,
                           page_size=1024)
 
         def run():
-            with DiskMStarIndex(path, xmark_graph,
-                                buffer_pages=100_000) as disk:
+            with SegmentMStarIndex(path, xmark_graph,
+                                   buffer_pages=100_000) as disk:
                 short = [expr for expr in xmark_workload_len9
                          if expr.length <= 1]
                 long = [expr for expr in xmark_workload_len9
@@ -67,11 +69,10 @@ def test_short_query_locality(benchmark, xmark_graph, xmark_workload_len9):
                 for expr in short:
                     disk.query(expr)
                 short_reads = disk.io_stats()[0]
-                disk.reset_io_stats()
                 # The cache is still warm; reopen for a cold long run.
-                total_pages = disk.page_count
-            with DiskMStarIndex(path, xmark_graph,
-                                buffer_pages=100_000) as disk:
+                total_pages = disk.segment.num_pages
+            with SegmentMStarIndex(path, xmark_graph,
+                                   buffer_pages=100_000) as disk:
                 for expr in long:
                     disk.query(expr)
                 long_reads = disk.io_stats()[0]

@@ -1,10 +1,11 @@
 """Disk-resident M*(k)-index (the paper's Section 6 future work, built).
 
-Refines an M*(k)-index for an auction-site workload, serialises it into
-a paged file, and queries it through an LRU buffer pool — demonstrating
-the "loaded into memory selectively and incrementally" behaviour: short
-queries touch only the coarse components' few pages, and a small hot set
-serves most of the workload.
+Refines an M*(k)-index for an auction-site workload, writes it as a
+segment, and queries it through an LRU buffer pool — demonstrating the
+"loaded into memory selectively and incrementally" behaviour: the
+skeleton navigates in RAM, a query reads only the extent pages of the
+nodes it reaches, short queries stay inside the coarse components' few
+pages, and a small hot set serves most of the workload.
 
 Run:  python examples/disk_resident.py [scale]
 """
@@ -14,7 +15,8 @@ import sys
 import tempfile
 
 from repro import MStarIndex, Workload, generate_xmark
-from repro.storage import DiskMStarIndex
+from repro.indexes.segmented import SegmentMStarIndex
+from repro.storage import save_mstar
 
 
 def main(scale: float = 0.02) -> None:
@@ -28,9 +30,9 @@ def main(scale: float = 0.02) -> None:
     print(f"refined in-memory index: {index}\n")
 
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "auction.rpdi")
-        disk = DiskMStarIndex.build(index, path, page_size=2048,
-                                    buffer_pages=32)
+        path = os.path.join(tmp, "auction.seg")
+        save_mstar(index, path, page_size=2048)
+        disk = SegmentMStarIndex(path, graph, buffer_pages=32)
         print(f"on disk: {disk}, "
               f"{os.path.getsize(path) / 1024:.1f} KiB\n")
 
@@ -48,12 +50,12 @@ def main(scale: float = 0.02) -> None:
               "(cold pool each time):")
         for max_len in (0, 2, 5, 9):
             sample = [expr for expr in workload if expr.length <= max_len][:40]
-            with DiskMStarIndex(path, graph, buffer_pages=100_000) as cold:
+            with SegmentMStarIndex(path, graph, buffer_pages=100_000) as cold:
                 for expr in sample:
                     cold.query(expr)
                 cold_reads, _ = cold.io_stats()
             print(f"  queries of length <= {max_len}: {cold_reads:>4} "
-                  f"pages touched (of {disk.page_count})")
+                  f"pages touched (of {disk.segment.num_pages})")
         disk.close()
 
 

@@ -5,7 +5,7 @@ Commands:
 * ``generate`` — synthesise an XMark- or NASA-like document to a file;
 * ``stats`` — print a document's structural statistics;
 * ``index`` — build an M*(k)-index refined for a synthetic workload and
-  save it (optionally also as a paged disk index);
+  save it as a segment (``query --index`` loads it back);
 * ``query`` — run path expressions against a document (optionally
   through a saved index), printing answers and costs;
 * ``report`` — regenerate the paper's full figure sweep as markdown;
@@ -93,10 +93,6 @@ def cmd_index(args: argparse.Namespace) -> int:
     save_mstar(index, args.output)
     print(f"refined {index} for {len(workload)} workload queries; "
           f"saved to {args.output}")
-    if args.disk:
-        from repro.storage.diskindex import DiskMStarIndex
-        DiskMStarIndex.build(index, args.disk).close()
-        print(f"paged disk index written to {args.disk}")
     return 0
 
 
@@ -229,8 +225,7 @@ def cmd_ooc(args: argparse.Namespace) -> int:
     import tempfile
 
     from repro.indexes.aindex import AkIndex
-    from repro.indexes.segmented import SegmentAkIndex
-    from repro.queries.evaluator import evaluate_on_data_graph
+    from repro.indexes.segmented import SegmentAkIndex, SegmentMStarIndex
     from repro.storage.spill import (
         budget_from_env,
         build_ak_segment,
@@ -279,23 +274,10 @@ def cmd_ooc(args: argparse.Namespace) -> int:
         workload = Workload.generate(graph, num_queries=args.queries,
                                      max_length=args.max_length,
                                      seed=args.seed)
-        oracle_every = max(1, len(workload.queries) // 8)
         with SegmentAkIndex(ak_path, graph) as segment_index:
-            for position, expr in enumerate(workload.queries):
-                disk = segment_index.query(expr).answers
-                ram = ram_index.query(expr).answers
-                if disk != ram:
-                    print(f"ooc: CHECK FAILED — segment answers diverge "
-                          f"from in-RAM A(k) on {expr}")
-                    return 1
-                if position % oracle_every == 0 and \
-                        disk != evaluate_on_data_graph(graph, expr):
-                    print(f"ooc: CHECK FAILED — segment answers diverge "
-                          f"from the data-graph oracle on {expr}")
-                    return 1
-            reads, hits = segment_index.io_stats()
-        print(f"ooc: {len(workload.queries)} queries match the in-RAM "
-              f"index ({reads} page reads, {hits} pool hits)")
+            if not _ooc_answers_match(segment_index, ram_index, graph,
+                                      workload.queries, f"A({args.k})"):
+                return 1
 
         hier_dir = owned_tmp.name if owned_tmp else os.path.dirname(
             os.path.abspath(ak_path))
@@ -308,18 +290,44 @@ def cmd_ooc(args: argparse.Namespace) -> int:
               f"{args.k + 1} levels ({hier.spills} spills, peak "
               f"{hier.peak_ratio:.2f}x budget), digest "
               f"{'matches' if matched else 'DIVERGES'}")
-        if not owned_tmp and not args.output:
-            os.unlink(hier_path)
         if not matched:
             print("ooc: CHECK FAILED — hierarchy digest diverges from the "
                   "in-RAM levels")
             return 1
+        with SegmentMStarIndex(hier_path, graph) as hierarchy_index:
+            if not _ooc_answers_match(hierarchy_index, ram_index, graph,
+                                      workload.queries, f"M*({args.k})"):
+                return 1
         print("ooc: check OK — on-disk builds are byte-equivalent to "
-              "in-RAM construction")
+              "in-RAM construction and answer like it")
         return 0
     finally:
         if owned_tmp is not None:
             owned_tmp.cleanup()
+
+
+def _ooc_answers_match(served, ram_index, graph, queries,
+                       name: str) -> bool:
+    """Answers of a segment-served index against the in-RAM A(k) on
+    every query, and against the data-graph oracle on every eighth."""
+    from repro.queries.evaluator import evaluate_on_data_graph
+
+    oracle_every = max(1, len(queries) // 8)
+    for position, expr in enumerate(queries):
+        disk = served.query(expr).answers
+        if disk != ram_index.query(expr).answers:
+            print(f"ooc: CHECK FAILED — {name} segment answers diverge "
+                  f"from in-RAM A(k) on {expr}")
+            return False
+        if position % oracle_every == 0 and \
+                disk != evaluate_on_data_graph(graph, expr):
+            print(f"ooc: CHECK FAILED — {name} segment answers diverge "
+                  f"from the data-graph oracle on {expr}")
+            return False
+    reads, hits = served.io_stats()
+    print(f"ooc: {name}: {len(queries)} queries match the in-RAM index "
+          f"({reads} page reads, {hits} pool hits)")
+    return True
 
 
 def _parse_hostport(text: str) -> tuple[str, int]:
@@ -549,7 +557,7 @@ _TRACE_REQUIRED_GROUPS = {
     "engine": ("engine.",),
     "index-refinement": ("mstar.", "mk.", "dk.", "partition."),
     "evaluator": ("evaluator.",),
-    "pager": ("pager.", "diskindex."),
+    "pager": ("pager.", "segindex."),
 }
 
 
@@ -564,7 +572,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         validate_chrome_trace,
         validate_nesting,
     )
-    from repro.storage.diskindex import DiskMStarIndex
+    from repro.indexes.segmented import SegmentMStarIndex
 
     if args.document:
         graph = _load_document(args.document)
@@ -586,12 +594,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 engine.execute(expr)
                 if TRACER.recorded == recorded_before:
                     zero_span_queries.append(str(expr))
-        # Disk phase: serialise the refined index and replay the workload
-        # through the buffer pool, so pager/diskindex spans appear too.
+        # Disk phase: write the refined index as a segment and replay the
+        # workload through its buffer pool, so pager/segindex spans
+        # appear too.
         with tempfile.TemporaryDirectory() as tmp:
-            disk_path = os.path.join(tmp, "trace.rpdi")
-            with DiskMStarIndex.build(engine.index, disk_path,
-                                      buffer_pages=8) as disk:
+            disk_path = os.path.join(tmp, "trace.seg")
+            save_mstar(engine.index, disk_path)
+            with SegmentMStarIndex(disk_path, graph,
+                                   buffer_pages=8) as disk:
                 for expr in workload:
                     disk.query(expr)
         records = TRACER.spans()
@@ -681,18 +691,17 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="build a workload-refined M*(k)-index")
     index.add_argument("document")
     index.add_argument("--output", "-o", required=True,
-                       help="output path (.rpms)")
+                       help="output path (an M*(k) segment, .seg)")
     index.add_argument("--queries", type=int, default=200)
     index.add_argument("--max-length", type=int, default=9)
     index.add_argument("--seed", type=int, default=1)
-    index.add_argument("--disk", help="also write a paged disk index (.rpdi)")
     index.set_defaults(handler=cmd_index)
 
     query = commands.add_parser("query", help="run path expressions")
     query.add_argument("document")
     query.add_argument("expressions", nargs="+",
                        help="XPath-style simple paths, e.g. //a/b")
-    query.add_argument("--index", help="saved M*(k)-index (.rpms)")
+    query.add_argument("--index", help="saved M*(k)-index (.seg)")
     query.add_argument("--refine", action="store_true",
                        help="refine the index for each query (FUP)")
     query.add_argument("--verbose", "-v", action="store_true")

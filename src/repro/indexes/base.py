@@ -7,24 +7,26 @@ value ``v.k``.  There is an index edge ``(u, v)`` iff some data edge runs
 from ``u.extent`` to ``v.extent`` (Property 2 of the paper), which is
 maintained incrementally as nodes are split.
 
-The module also implements the generic query algorithm of Section 3.1:
-evaluate the label path over the index graph (counting index-node visits),
-then return extents verbatim where ``v.k >= length(query)`` and validate
-them against the data graph otherwise (counting data-node visits).
+An ``IndexGraph`` is the in-RAM view the shared query algorithm of
+Section 3.1 (:mod:`repro.indexes.walk`) runs over: :meth:`evaluate` walks
+the label path, :meth:`answer` adds the validation epilogue and the
+result cache.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping, Sequence
 
 from repro.core.extents import Extent
 from repro.cost.counters import CostCounter
 from repro.graph.datagraph import DataGraph
+from repro.indexes import walk as _walk
 from repro.indexes.partition import kbisimulation_blocks, refine_once
+from repro.indexes.walk import QueryResult
 from repro.obs import trace as _trace
-from repro.queries.evaluator import required_similarity, validate_extent
-from repro.queries.pathexpr import WILDCARD, PathExpression
+from repro.queries.pathexpr import PathExpression
+
+__all__ = ["IndexGraph", "IndexNode", "QueryResult"]
 
 
 class IndexNode:
@@ -53,22 +55,6 @@ class IndexNode:
         if len(self.extent) > 6:
             shown = shown + ["..."]
         return f"IndexNode({self.nid}, {self.label!r}, k={self.k}, extent={shown})"
-
-
-@dataclass
-class QueryResult:
-    """Outcome of running a query through an index.
-
-    ``answers`` is the returned target set of data nodes; ``target_nodes``
-    are the index nodes the query reached; ``cost`` is the two-part cost
-    counter; ``validated`` tells whether any extent needed validation
-    (i.e. the index was not precise enough for this query on its own).
-    """
-
-    answers: set[int]
-    target_nodes: list[IndexNode]
-    cost: CostCounter = field(default_factory=CostCounter)
-    validated: bool = False
 
 
 class IndexGraph:
@@ -221,6 +207,19 @@ class IndexGraph:
 
     def nodes_with_label(self, label: str) -> set[int]:
         return self._by_label.get(label, set())
+
+    # The walk's read-only view (repro.indexes.walk.IndexView).
+    @property
+    def child_rows(self) -> Mapping[int, set[int]]:
+        return self._children
+
+    @property
+    def root_nid(self) -> int:
+        return self.node_of[self.graph.root]
+
+    def targets(self, nids: Iterable[int]) -> list[IndexNode]:
+        nodes = self.nodes
+        return [nodes[nid] for nid in nids]
 
     def node_containing(self, oid: int) -> IndexNode:
         """The index node whose extent contains data node ``oid``."""
@@ -461,72 +460,12 @@ class IndexGraph:
                  counter: CostCounter | None = None) -> list[IndexNode]:
         """Target set of ``expr`` in the index graph.
 
-        Returns the index nodes reachable by the expression's label path.
-        Each index node examined during navigation is charged as one
-        index-node visit.
+        Returns the index nodes reachable by the expression's label path
+        (:func:`repro.indexes.walk.walk`).  Each index node examined
+        during navigation is charged as one index-node visit.
         """
         counter = counter if counter is not None else CostCounter()
-        first = expr.labels[0]
-        if expr.rooted:
-            root_nid = self.node_of[self.graph.root]
-            counter.index_visits += 1
-            frontier = {root_nid}
-            positions = list(range(len(expr.labels)))
-        else:
-            if first == WILDCARD:
-                frontier = set(self.nodes)
-            else:
-                # Read-only below (steps rebind, never mutate), so the
-                # by-label set is used directly instead of copied.
-                frontier = self._by_label.get(first, set())
-            counter.index_visits += len(frontier)
-            positions = list(range(1, len(expr.labels)))
-        for position in positions:
-            label = expr.labels[position]
-            if position in expr.descendant_steps:
-                candidates = self._descendant_closure(frontier, counter)
-                frontier = {nid for nid in candidates
-                            if label == WILDCARD
-                            or self.nodes[nid].label == label}
-            else:
-                # Each child examined costs one index visit; the charge
-                # is batched per row (identical totals, fewer attribute
-                # stores in the hottest navigation loop).
-                next_frontier: set[int] = set()
-                children = self._children
-                nodes = self.nodes
-                examined = 0
-                if label == WILDCARD:
-                    for nid in frontier:
-                        row = children[nid]
-                        examined += len(row)
-                        next_frontier.update(row)
-                else:
-                    for nid in frontier:
-                        row = children[nid]
-                        examined += len(row)
-                        for child in row:
-                            if nodes[child].label == label:
-                                next_frontier.add(child)
-                counter.index_visits += examined
-                frontier = next_frontier
-            if not frontier:
-                break
-        return [self.nodes[nid] for nid in frontier]
-
-    def _descendant_closure(self, frontier: set[int],
-                            counter: CostCounter) -> set[int]:
-        """Index nodes reachable from ``frontier`` via >= 1 edges."""
-        reached: set[int] = set()
-        queue = list(frontier)
-        while queue:
-            nid = queue.pop()
-            for child in self._children[nid]:
-                counter.index_visits += 1
-                if child not in reached:
-                    reached.add(child)
-                    queue.append(child)
-        return reached
+        return self.targets(_walk.walk(self, expr, counter))
 
     def answer(self, expr: PathExpression,
                counter: CostCounter | None = None) -> QueryResult:
@@ -555,25 +494,8 @@ class IndexGraph:
                         answers=set(source.answers),
                         target_nodes=list(source.target_nodes),
                         cost=cost, validated=source.validated)
-            targets = self.evaluate(expr, cost)
-            answers: set[int] = set()
-            validated = False
-            # A rooted expression implicitly traverses one more edge (from
-            # the synthetic root), so precision needs one extra level of
-            # similarity — and only when the root's label is unique to the
-            # root (see required_similarity); descendant axes make the
-            # instance length unbounded, so no finite similarity can
-            # certify them.
-            required = required_similarity(self.graph, expr)
-            for node in targets:
-                if node.k >= required:
-                    answers.update(node.extent.members())
-                else:
-                    validated = True
-                    answers |= validate_extent(self.graph, expr,
-                                               node.extent, cost)
-            result = QueryResult(answers=answers, target_nodes=targets,
-                                 cost=cost, validated=validated)
+            result = _walk.finish(self.graph, expr,
+                                  self.evaluate(expr, cost), cost)
             if token is not None:
                 self._cache_store(expr, token, result)
             return result

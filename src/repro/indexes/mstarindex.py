@@ -30,6 +30,7 @@ from collections.abc import Sequence
 from repro.cost.counters import CostCounter
 from repro.graph.datagraph import DataGraph
 from repro.graph.paths import pred_set, succ_set
+from repro.indexes import walk as _walk
 from repro.indexes.base import IndexGraph, QueryResult
 from repro.indexes.partition import label_blocks
 from repro.obs import trace as _trace
@@ -126,41 +127,7 @@ class MStarIndex:
         """
         from repro.indexes import strategies
 
-        tracer = _trace.TRACER
-        if expr.has_descendant_steps:
-            # Descendant axes have unbounded instance length: no prefix-
-            # per-component scheme applies, so evaluate in the finest
-            # component and validate (the safe route).
-            if tracer.enabled:
-                with tracer.span("mstar.query", query=str(expr),
-                                 strategy="naive-descendant"):
-                    return strategies.query_naive(self, expr, counter)
-            return strategies.query_naive(self, expr, counter)
-
-        chosen = strategy
-        if strategy == "auto":
-            if self._optimizer is None:
-                from repro.indexes.optimizer import StrategyOptimizer
-
-                self._optimizer = StrategyOptimizer(self)
-            chosen = self._optimizer.choose(expr)
-
-        dispatch = {
-            "topdown": strategies.query_topdown,
-            "naive": strategies.query_naive,
-            "prefilter": strategies.query_prefilter,
-            "bottomup": strategies.query_bottomup,
-            "hybrid": strategies.query_hybrid,
-        }
-        if chosen not in dispatch:
-            raise ValueError(f"unknown strategy {chosen!r}")
-        if tracer.enabled:
-            # The strategy tag records the per-component evaluation route
-            # actually taken (after the cost-based "auto" choice resolves).
-            with tracer.span("mstar.query", query=str(expr),
-                             strategy=chosen, requested=strategy):
-                return dispatch[chosen](self, expr, counter)
-        return dispatch[chosen](self, expr, counter)
+        return strategies.dispatch(self, expr, counter, strategy)
 
     def cache_fingerprint(self, expr: PathExpression) -> tuple:
         """Validity token for engine-level result caching.
@@ -252,15 +219,13 @@ class MStarIndex:
         # the true-target boundary.  The check walks the same top-down
         # route queries take, which can reach a superset of the plain
         # finest-component target set.
-        from repro.indexes.strategies import topdown_frontier
-
         truth = (target_data if result is None
                  else evaluate_on_data_graph(self.graph, expr, cost))
 
         def topdown_targets():
-            component, frontier = topdown_frontier(self, expr, cost)
-            return component, [self.components[component].nodes[nid]
-                               for nid in sorted(frontier)]
+            component, frontier = _walk.walk_topdown(self, expr, cost)
+            return component, self.components[component].targets(
+                sorted(frontier))
 
         # Phase 1 (the published loop, a cost optimisation): promote
         # under-refined targets; stalled promotions are left to validation.

@@ -1,52 +1,144 @@
-"""Segment-backed A(k): extents stay on disk, the skeleton navigates.
+"""Segment-served indexes: the skeleton navigates in RAM, extents page in.
 
-The out-of-core split the paper's Section 6 sketches: the index
-*skeleton* (per-node label, block-level child edges, label directory —
-all O(index size)) lives in the segment's footer meta and is held in
-RAM, while the *extents* — the payload that actually scales with the
-document — stay in the segment's checksummed pages and are fetched
-through the buffer pool only for the index nodes a query's final
-frontier reaches.  Navigation and cost accounting mirror the in-RAM
-``AkIndex`` / the paged ``DiskMStarIndex``: index-node visits charge
-the counter, imprecise extents validate against the data graph, and
-physical I/O shows up in ``index.pool`` (reads/hits).
+The out-of-core split the paper's Section 6 sketches ("loaded into
+memory selectively and incrementally"): an index's *skeleton* — per
+node its label, child edges, local similarity ``k`` and, in an M*(k)
+hierarchy, its supernode in the previous component, all O(index size)
+— lives in the segment's footer meta and is held in RAM, while the
+*extents* — the payload that scales with the document — stay in the
+segment's checksummed pages and are fetched through the buffer pool
+only for the index nodes a query's final frontier reaches.
+
+Queries run the shared walk (:mod:`repro.indexes.walk`), so a
+segment-served index charges exactly the index-node and data-node
+visits of the in-RAM index it was written from; physical I/O shows up
+in ``index.pool`` (reads/hits).  Two segment kinds are served (see
+``docs/formats.md``):
+
+* ``ak-extents`` — one A(k) level, written by
+  :func:`repro.storage.spill.build_ak_segment`, served by
+  :class:`SegmentAkIndex`;
+* ``mstar-hierarchy`` — components ``I0..Ik`` with supernode links,
+  written by :func:`repro.storage.spill.build_hierarchy_segment` (the
+  k-bisimulation levels) or :func:`repro.storage.serialization.save_mstar`
+  (a refined in-RAM M*(k)), served by :class:`SegmentMStarIndex`.
 """
 
 from __future__ import annotations
 
-import struct
+import sys
 from array import array
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 
 from repro.core.extents import Extent
 from repro.cost.counters import CostCounter
 from repro.graph.datagraph import DataGraph
-from repro.indexes.base import QueryResult
+from repro.indexes import walk as _walk
+from repro.indexes.base import IndexNode
+from repro.indexes.walk import QueryResult
 from repro.obs import trace as _trace
-from repro.queries.evaluator import required_similarity, validate_candidate
-from repro.queries.pathexpr import WILDCARD, PathExpression
+from repro.queries.pathexpr import PathExpression
 from repro.storage.segment import Segment
 
 
-@dataclass
-class _TargetNode:
-    """Materialised view of one segment-resident index node."""
+def decode_extent(payload: bytes) -> Extent:
+    """An extent record (ascending little-endian u32 oids) as an Extent."""
+    values = array("i")
+    values.frombytes(payload)
+    if sys.byteorder == "big":
+        values.byteswap()
+    return Extent.from_sorted(values)
 
-    nid: int
-    label: str
-    k: int
-    extent: set[int] = field(default_factory=set)
+
+class _SkeletonNode:
+    """What the walk reads of one node: its label and similarity."""
+
+    __slots__ = ("nid", "label", "k")
+
+    def __init__(self, nid: int, label: str, k: int) -> None:
+        self.nid = nid
+        self.label = label
+        self.k = k
 
 
-class SegmentAkIndex:
-    """Read-only A(k) answered from an on-disk extent segment.
+class SegmentLevel:
+    """One index graph of a segment: the walk's ``IndexView``.
 
-    Open over a segment built by
-    :func:`repro.storage.spill.build_ak_segment`; ``graph`` must be the
-    data graph the segment was built over (validation and
-    ``required_similarity`` run against it, as in the paper's cost
-    model).
+    ``base`` is added to a node id to form its extent record key (the
+    hierarchy keys level ``i`` at ``i * stride``).
     """
+
+    def __init__(self, segment: Segment, labels: list[str], level: dict,
+                 base: int, default_k: int) -> None:
+        self._segment = segment
+        self._base = base
+        count = int(level["num_nodes"])
+        label_of = level["label_of"]
+        self.child_rows: list[list[int]] = level["children"]
+        similarity = level.get("k", default_k)
+        ks = [similarity] * count if isinstance(similarity, int) \
+            else similarity
+        if len(label_of) != count or len(self.child_rows) != count or \
+                len(ks) != count:
+            raise ValueError(f"{segment.path}: skeleton meta is inconsistent")
+        self.nodes = {nid: _SkeletonNode(nid, labels[label_of[nid]], ks[nid])
+                      for nid in range(count)}
+        self.root_nid = int(level["root"])
+        # The label directory is derived here, not stored (older
+        # segments carry a ``by_label`` key, which is ignored).
+        self._by_label: dict[str, set[int]] = {}
+        for nid, node in self.nodes.items():
+            self._by_label.setdefault(node.label, set()).add(nid)
+        self._parent_rows: list[list[int]] | None = None
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self.nodes)
+
+    def nodes_with_label(self, label: str) -> set[int]:
+        return self._by_label.get(label, set())
+
+    def children_of(self, nid: int) -> list[int]:
+        return self.child_rows[nid]
+
+    def parents_of(self, nid: int) -> list[int]:
+        if self._parent_rows is None:
+            rows: list[list[int]] = [[] for _ in self.child_rows]
+            for parent, children in enumerate(self.child_rows):
+                for child in children:
+                    rows[child].append(parent)
+            self._parent_rows = rows
+        return self._parent_rows[nid]
+
+    def targets(self, nids: Iterable[int]) -> list[IndexNode]:
+        """Fetch the extents of ``nids`` in key order: each touched page
+        is read once (``Segment.get_many``, the readv path)."""
+        ordered = sorted(nids)
+        base = self._base
+        payloads = dict(self._segment.get_many(
+            [base + nid for nid in ordered]))
+        targets = []
+        for nid in ordered:
+            payload = payloads.get(base + nid)
+            if payload is None:
+                raise ValueError(f"{self._segment.path}: no extent record "
+                                 f"for index node {nid}")
+            node = self.nodes[nid]
+            targets.append(IndexNode(nid, node.label, node.k,
+                                     decode_extent(payload)))
+        return targets
+
+
+class _SegmentIndex:
+    """Opens a segment of one kind and holds its levels' skeletons.
+
+    ``components[i]`` is level ``i``; ``subnodes[i][nid]`` lists
+    ``nid``'s subnodes in level ``i + 1`` (derived from the stored
+    supernode links).
+    """
+
+    KIND = ""
+    DESCRIPTION = ""
 
     def __init__(self, path: str, graph: DataGraph, *,
                  buffer_pages: int = 32, use_mmap: bool = True,
@@ -56,140 +148,45 @@ class SegmentAkIndex:
         self.segment = Segment(path, buffer_pages=buffer_pages,
                                use_mmap=use_mmap, admission=admission)
         meta = self.segment.meta
-        if meta.get("kind") != "ak-extents":
-            raise ValueError(
-                f"{path} is not an A(k) extent segment "
-                f"(kind={meta.get('kind')!r})")
-        self.k = int(meta["k"])
-        self.labels: list[str] = list(meta["labels"])
-        level = meta["levels"][0]
-        self.num_nodes = int(level["num_nodes"])
-        self._label_of: list[int] = [int(v) for v in level["label_of"]]
-        self._children: list[list[int]] = [
-            [int(v) for v in row] for row in level["children"]]
-        self._by_label: dict[str, list[int]] = {
-            self.labels[int(label_id)]: [int(v) for v in nids]
-            for label_id, nids in level["by_label"].items()}
-        self._root_nid = int(level["root"])
-        if len(self._label_of) != self.num_nodes or \
-                len(self._children) != self.num_nodes:
-            raise ValueError(f"{path}: skeleton meta is inconsistent")
+        try:
+            if meta.get("kind") != self.KIND:
+                raise ValueError(f"{path} is not {self.DESCRIPTION} "
+                                 f"(kind={meta.get('kind')!r})")
+            self.k = int(meta["k"])
+            self.labels: list[str] = list(meta["labels"])
+            stride = int(meta.get("stride", 0))
+            self.components = [
+                SegmentLevel(self.segment, self.labels, level,
+                             number * stride,
+                             self.k if self.KIND == "ak-extents" else number)
+                for number, level in enumerate(meta["levels"])]
+            self.subnodes = [self._links(number, level)
+                             for number, level in
+                             enumerate(meta["levels"][1:], start=1)]
+        except BaseException:
+            self.segment.close()
+            raise
+        self._optimizer = None
+
+    def _links(self, number: int, level: dict) -> list[list[int]]:
+        supernode = level.get("supernode")
+        if supernode is None:
+            raise ValueError(f"{self.path}: level {number} has no "
+                             f"supernode links; rebuild the segment")
+        links: list[list[int]] = [
+            [] for _ in range(self.components[number - 1].num_nodes)]
+        for nid, sup in enumerate(supernode):
+            links[sup].append(nid)
+        return links
+
+    @property
+    def max_resolution(self) -> int:
+        return len(self.components) - 1
 
     @property
     def pool(self):
         return self.segment.pool
 
-    # ------------------------------------------------------------------
-    # Skeleton access (RAM) and extent access (disk)
-    # ------------------------------------------------------------------
-    def label_of(self, nid: int) -> str:
-        return self.labels[self._label_of[nid]]
-
-    def children_of(self, nid: int) -> list[int]:
-        return self._children[nid]
-
-    def nodes_with_label(self, label: str) -> list[int]:
-        return self._by_label.get(label, [])
-
-    def extent(self, nid: int) -> Extent:
-        """Fetch one node's extent — touches exactly one segment page."""
-        payload = self.segment.get(nid)
-        if payload is None:
-            raise ValueError(
-                f"{self.path}: no extent record for index node {nid}")
-        values = array("i")
-        count = len(payload) // 4
-        values.extend(struct.unpack(f"<{count}I", payload))
-        return Extent.from_sorted(values)
-
-    # ------------------------------------------------------------------
-    # Querying (the paper's algorithm, extents loaded lazily)
-    # ------------------------------------------------------------------
-    def query(self, expr: PathExpression,
-              counter: CostCounter | None = None) -> QueryResult:
-        tracer = _trace.TRACER
-        if tracer.enabled:
-            with tracer.span("segindex.query", query=str(expr)) as span:
-                result = self._query_impl(expr, counter)
-                span.tag(answers=len(result.answers),
-                         validated=result.validated)
-                return result
-        return self._query_impl(expr, counter)
-
-    def _query_impl(self, expr: PathExpression,
-                    counter: CostCounter | None) -> QueryResult:
-        cost = counter if counter is not None else CostCounter()
-        if expr.rooted:
-            root_label = self.graph.labels[self.graph.root]
-            frontier = set(self.nodes_with_label(root_label))
-            cost.index_visits += len(frontier)
-            positions = range(len(expr.labels))
-        else:
-            first = expr.labels[0]
-            if first == WILDCARD:
-                frontier = set(range(self.num_nodes))
-            else:
-                frontier = set(self.nodes_with_label(first))
-            cost.index_visits += len(frontier)
-            positions = range(1, len(expr.labels))
-        for position in positions:
-            label = expr.labels[position]
-            if position in expr.descendant_steps:
-                reached: set[int] = set()
-                queue = list(frontier)
-                while queue:
-                    nid = queue.pop()
-                    for child in self._children[nid]:
-                        cost.index_visits += 1
-                        if child not in reached:
-                            reached.add(child)
-                            queue.append(child)
-                frontier = {nid for nid in reached
-                            if label == WILDCARD
-                            or self.label_of(nid) == label}
-            else:
-                stepped: set[int] = set()
-                for nid in frontier:
-                    for child in self._children[nid]:
-                        cost.index_visits += 1
-                        if label == WILDCARD or \
-                                self.label_of(child) == label:
-                            stepped.add(child)
-                frontier = stepped
-            if not frontier:
-                break
-
-        required = required_similarity(self.graph, expr)
-        answers: set[int] = set()
-        targets: list[_TargetNode] = []
-        validated = False
-        # Sorted frontier + get_many: extent pages are read in key order,
-        # each touched page exactly once (the readv path).
-        ordered = sorted(frontier)
-        extents = dict(self.segment.get_many(ordered))
-        for nid in ordered:
-            payload = extents.get(nid)
-            if payload is None:
-                raise ValueError(
-                    f"{self.path}: no extent record for index node {nid}")
-            count = len(payload) // 4
-            members = struct.unpack(f"<{count}I", payload)
-            extent = set(members)
-            targets.append(_TargetNode(nid=nid, label=self.label_of(nid),
-                                       k=self.k, extent=extent))
-            if self.k >= required:
-                answers |= extent
-            else:
-                validated = True
-                for oid in members:
-                    if validate_candidate(self.graph, expr, oid, cost):
-                        answers.add(oid)
-        return QueryResult(answers=answers, target_nodes=targets,  # type: ignore[arg-type]
-                           cost=cost, validated=validated)
-
-    # ------------------------------------------------------------------
-    # Stats and lifecycle
-    # ------------------------------------------------------------------
     def io_stats(self) -> tuple[int, int]:
         """(physical page reads, pool hits) since the last reset."""
         return self.pool.reads, self.pool.hits
@@ -197,12 +194,84 @@ class SegmentAkIndex:
     def close(self) -> None:
         self.segment.close()
 
-    def __enter__(self) -> "SegmentAkIndex":
+    def __enter__(self):
         return self
 
     def __exit__(self, *_exc) -> None:
         self.close()
 
+
+class SegmentAkIndex(_SegmentIndex):
+    """Read-only A(k) answered from an on-disk extent segment.
+
+    Open over a segment built by
+    :func:`repro.storage.spill.build_ak_segment`; ``graph`` must be the
+    data graph the segment was built over (validation and
+    ``required_similarity`` run against it, as in the paper's cost
+    model).
+    """
+
+    KIND = "ak-extents"
+    DESCRIPTION = "an A(k) extent segment"
+
+    @property
+    def num_nodes(self) -> int:
+        return self.components[0].num_nodes
+
+    def query(self, expr: PathExpression,
+              counter: CostCounter | None = None) -> QueryResult:
+        tracer = _trace.TRACER
+        if tracer.enabled:
+            with tracer.span("segindex.query", query=str(expr)) as span:
+                result = self._answer(expr, counter)
+                span.tag(answers=len(result.answers),
+                         validated=result.validated)
+                return result
+        return self._answer(expr, counter)
+
+    def _answer(self, expr: PathExpression,
+                counter: CostCounter | None) -> QueryResult:
+        cost = counter if counter is not None else CostCounter()
+        level = self.components[0]
+        return _walk.finish(self.graph, expr,
+                            level.targets(_walk.walk(level, expr, cost)),
+                            cost)
+
     def __repr__(self) -> str:
         return (f"SegmentAkIndex(k={self.k}, nodes={self.num_nodes}, "
+                f"pages={self.segment.num_pages})")
+
+
+class SegmentMStarIndex(_SegmentIndex):
+    """Read-only M*(k) answered from an ``mstar-hierarchy`` segment.
+
+    Queries follow :meth:`MStarIndex.query
+    <repro.indexes.mstarindex.MStarIndex.query>`'s dispatch (top-down by
+    default, naive for descendant axes, every other strategy by name),
+    and charge the visits the in-RAM index the segment was written from
+    would charge.
+    """
+
+    KIND = "mstar-hierarchy"
+    DESCRIPTION = "an M*(k) hierarchy segment"
+
+    def _mutations(self) -> int:
+        return 0  # read-only: the optimizer's statistics never go stale
+
+    def query(self, expr: PathExpression,
+              counter: CostCounter | None = None,
+              strategy: str = "topdown") -> QueryResult:
+        from repro.indexes import strategies
+
+        tracer = _trace.TRACER
+        if tracer.enabled:
+            with tracer.span("segindex.query", query=str(expr)) as span:
+                result = strategies.dispatch(self, expr, counter, strategy)
+                span.tag(answers=len(result.answers),
+                         validated=result.validated)
+                return result
+        return strategies.dispatch(self, expr, counter, strategy)
+
+    def __repr__(self) -> str:
+        return (f"SegmentMStarIndex(components={len(self.components)}, "
                 f"pages={self.segment.num_pages})")

@@ -20,153 +20,52 @@ cost components charged to the same counter.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.cost.counters import CostCounter
-from repro.indexes.base import QueryResult
-from repro.queries.evaluator import (
-    required_similarity,
-    validate_candidate,
-    validate_extent,
-)
+from repro.indexes import walk as _walk
+from repro.indexes.walk import QueryResult
+from repro.obs import trace as _trace
 from repro.queries.pathexpr import WILDCARD, PathExpression
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from collections.abc import Collection
+
     from repro.indexes.mstarindex import MStarIndex
+    from repro.indexes.walk import HierarchyView
 
 
-def _finish(index: "MStarIndex", expr: PathExpression, component: int,
-            frontier: set[int], cost: CostCounter) -> QueryResult:
+def _finish(index: "HierarchyView", expr: PathExpression, component: int,
+            frontier: "Collection[int]", cost: CostCounter) -> QueryResult:
     """Shared epilogue: extract answers, validating under-refined extents."""
-    comp = index.components[component]
-    required = required_similarity(index.graph, expr)
-    targets = [comp.nodes[nid] for nid in sorted(frontier)]
-    answers: set[int] = set()
-    validated = False
-    for node in targets:
-        if node.k >= required:
-            answers.update(node.extent.members())
-        else:
-            validated = True
-            answers |= validate_extent(index.graph, expr, node.extent, cost)
-    return QueryResult(answers=answers, target_nodes=targets, cost=cost,
-                       validated=validated)
+    targets = index.components[component].targets(sorted(frontier))
+    return _walk.finish(index.graph, expr, targets, cost)
 
 
-def _start_frontier(index: "MStarIndex", expr: PathExpression,
-                    cost: CostCounter) -> tuple[set[int], range]:
-    """Initial component-0 frontier and the label positions left to step."""
-    comp0 = index.components[0]
-    if expr.rooted:
-        frontier = {comp0.node_of[index.graph.root]}
-        cost.index_visits += 1
-        return frontier, range(len(expr.labels))
-    first = expr.labels[0]
-    if first == WILDCARD:
-        frontier = set(comp0.nodes)
-    else:
-        frontier = set(comp0.nodes_with_label(first))
-    cost.index_visits += len(frontier)
-    return frontier, range(1, len(expr.labels))
-
-
-def query_naive(index: "MStarIndex", expr: PathExpression,
+def query_naive(index: "HierarchyView", expr: PathExpression,
                 counter: CostCounter | None = None) -> QueryResult:
     """Evaluate entirely in the finest component the query length needs."""
     required = expr.length + (1 if expr.rooted else 0)
     component = min(required, index.max_resolution)
     cost = counter if counter is not None else CostCounter()
-    frontier = {node.nid
-                for node in index.components[component].evaluate(expr, cost)}
+    frontier = _walk.walk(index.components[component], expr, cost)
     return _finish(index, expr, component, frontier, cost)
 
 
-def query_topdown(index: "MStarIndex", expr: PathExpression,
-                  counter: CostCounter | None = None,
-                  eager_validation: bool = False) -> QueryResult:
+def query_topdown(index: "HierarchyView", expr: PathExpression,
+                  counter: CostCounter | None = None) -> QueryResult:
     """``QUERYTOPDOWN``: evaluate prefixes in increasingly fine components.
 
     A prefix consuming ``p`` edges is evaluated in component ``Ip``
     (clamped to the finest available); before each step the frontier
     descends through cross-component links, and every subnode or child
-    examined costs one index-node visit.
+    examined costs one index-node visit
+    (:func:`~repro.indexes.walk.walk_topdown`, the walk the M*(k)
+    refinement procedure also follows).
     """
     cost = counter if counter is not None else CostCounter()
-    component, frontier = topdown_frontier(index, expr, cost,
-                                           eager_validation=eager_validation)
+    component, frontier = _walk.walk_topdown(index, expr, cost)
     return _finish(index, expr, component, frontier, cost)
-
-
-def topdown_frontier(index: "MStarIndex", expr: PathExpression,
-                     counter: CostCounter | None = None,
-                     eager_validation: bool = False) -> tuple[int, set[int]]:
-    """The top-down walk's final ``(component, target-node-id set)``.
-
-    Shared by :func:`query_topdown` and the M*(k) refinement procedure,
-    which must break false instances along the same routes queries take.
-
-    ``eager_validation`` implements the remark after ``QUERYTOPDOWN`` —
-    "in practice, it would be more efficient to validate after
-    evaluating each prefix": after each step, frontier nodes whose
-    similarity cannot certify the prefix are checked against the data
-    graph and dropped when no extent member carries the prefix, pruning
-    dead branches before they fan out (data-node visits are charged as
-    usual).
-    """
-    cost = counter if counter is not None else CostCounter()
-    frontier, positions = _start_frontier(index, expr, cost)
-    last = index.max_resolution
-    current = 0
-    edge_offset = 1 if expr.rooted else 0
-    for position in positions:
-        target_component = min(position + edge_offset, last)
-        while current < target_component and frontier:
-            descended: set[int] = set()
-            for nid in frontier:
-                subs = index.subnodes[current][nid]
-                cost.index_visits += len(subs)
-                descended |= subs
-            frontier = descended
-            current += 1
-        comp = index.components[current]
-        label = expr.labels[position]
-        # One index visit per child examined, charged in bulk per row
-        # (identical totals; this loop dominates refinement's re-walks).
-        stepped: set[int] = set()
-        nodes = comp.nodes
-        examined = 0
-        if label == WILDCARD:
-            for nid in frontier:
-                row = comp.children_of(nid)
-                examined += len(row)
-                stepped |= row
-        else:
-            for nid in frontier:
-                row = comp.children_of(nid)
-                examined += len(row)
-                for child in row:
-                    if nodes[child].label == label:
-                        stepped.add(child)
-        cost.index_visits += examined
-        frontier = stepped
-        if not frontier:
-            break
-        if eager_validation and position < len(expr.labels) - 1:
-            prefix = expr.prefix(position + 1)
-            prefix_required = required_similarity(index.graph, prefix)
-            pruned: set[int] = set()
-            for nid in frontier:
-                node = comp.nodes[nid]
-                if node.k >= prefix_required:
-                    pruned.add(nid)
-                    continue
-                if any(validate_candidate(index.graph, prefix, oid, cost)
-                       for oid in node.extent):
-                    pruned.add(nid)
-            frontier = pruned
-            if not frontier:
-                break
-    return current, frontier
 
 
 def choose_subpath(index: "MStarIndex", expr: PathExpression) -> tuple[int, int]:
@@ -214,12 +113,7 @@ def _filter_by_outgoing(index: "MStarIndex", component: int,
     comp = index.components[component]
     levels: list[set[int]] = [set(heads)]
     for label in labels[1:]:
-        stepped: set[int] = set()
-        for nid in levels[-1]:
-            for child in comp.children_of(nid):
-                cost.index_visits += 1
-                if label == WILDCARD or comp.nodes[child].label == label:
-                    stepped.add(child)
+        stepped = _walk.step(comp, levels[-1], label, False, cost)
         levels.append(stepped)
         if not stepped:
             return set()
@@ -236,17 +130,6 @@ def _filter_by_outgoing(index: "MStarIndex", component: int,
         if not surviving:
             return set()
     return surviving
-
-
-def _descend_one(index: "MStarIndex", component: int, frontier: set[int],
-                 cost: CostCounter) -> set[int]:
-    """Follow cross-component links one component down, charging visits."""
-    descended: set[int] = set()
-    for nid in frontier:
-        subs = index.subnodes[component][nid]
-        cost.index_visits += len(subs)
-        descended |= subs
-    return descended
 
 
 def query_bottomup(index: "MStarIndex", expr: PathExpression,
@@ -279,7 +162,7 @@ def query_bottomup(index: "MStarIndex", expr: PathExpression,
     for suffix_edges in range(1, required + 1):
         needed = min(suffix_edges, target_component)
         while current < needed and heads:
-            heads = _descend_one(index, current, heads, cost)
+            heads = _walk.descend(index.subnodes[current], heads, cost)
             current += 1
         comp = index.components[current]
         label = expr.labels[required - suffix_edges]
@@ -299,14 +182,8 @@ def query_bottomup(index: "MStarIndex", expr: PathExpression,
     comp = index.components[current]
     frontier = heads
     for position in range(1, len(expr.labels)):
-        label = expr.labels[position]
-        stepped: set[int] = set()
-        for nid in frontier:
-            for child in comp.children_of(nid):
-                cost.index_visits += 1
-                if label == WILDCARD or comp.nodes[child].label == label:
-                    stepped.add(child)
-        frontier = stepped
+        frontier = _walk.step(comp, frontier, expr.labels[position], False,
+                              cost)
         if not frontier:
             break
     return _finish(index, expr, current, frontier, cost)
@@ -339,10 +216,10 @@ def query_hybrid(index: "MStarIndex", expr: PathExpression,
     target_component = min(expr.length, index.max_resolution)
 
     prefix = expr.prefix(split + 1)
-    component, prefix_frontier = topdown_frontier(index, prefix, cost)
+    component, prefix_frontier = _walk.walk_topdown(index, prefix, cost)
     while component < target_component and prefix_frontier:
-        prefix_frontier = _descend_one(index, component, prefix_frontier,
-                                       cost)
+        prefix_frontier = _walk.descend(index.subnodes[component],
+                                        prefix_frontier, cost)
         component += 1
 
     # Suffix half, bottom-up within the final component: the nodes labeled
@@ -357,17 +234,10 @@ def query_hybrid(index: "MStarIndex", expr: PathExpression,
     heads = _filter_by_outgoing(index, target_component, candidates,
                                 expr.labels[split:], cost)
 
-    survivors = prefix_frontier & heads
-    frontier = survivors
+    frontier = set(prefix_frontier) & heads
     for position in range(split + 1, len(expr.labels)):
-        label = expr.labels[position]
-        stepped: set[int] = set()
-        for nid in frontier:
-            for child in comp.children_of(nid):
-                cost.index_visits += 1
-                if label == WILDCARD or comp.nodes[child].label == label:
-                    stepped.add(child)
-        frontier = stepped
+        frontier = _walk.step(comp, frontier, expr.labels[position], False,
+                              cost)
         if not frontier:
             break
     return _finish(index, expr, target_component, frontier, cost)
@@ -398,18 +268,12 @@ def query_prefilter(index: "MStarIndex", expr: PathExpression,
     sub_expr = expr.subpath(start, window)
     sub_component = min(sub_expr.length, index.max_resolution)
 
-    candidates = {node.nid for node in
-                  index.components[sub_component].evaluate(sub_expr, cost)}
+    candidates = _walk.walk(index.components[sub_component], sub_expr, cost)
 
     # Descend the candidates to the component the full query runs in.
     current = sub_component
     while current < target_component and candidates:
-        descended: set[int] = set()
-        for nid in candidates:
-            subs = index.subnodes[current][nid]
-            cost.index_visits += len(subs)
-            descended |= subs
-        candidates = descended
+        candidates = _walk.descend(index.subnodes[current], candidates, cost)
         current += 1
     comp = index.components[target_component]
 
@@ -447,3 +311,51 @@ def query_prefilter(index: "MStarIndex", expr: PathExpression,
         if not frontier:
             break
     return _finish(index, expr, target_component, frontier, cost)
+
+
+STRATEGIES = {
+    "topdown": query_topdown,
+    "naive": query_naive,
+    "prefilter": query_prefilter,
+    "bottomup": query_bottomup,
+    "hybrid": query_hybrid,
+}
+
+
+def dispatch(index: Any, expr: PathExpression,
+             counter: CostCounter | None = None,
+             strategy: str = "topdown") -> QueryResult:
+    """Run ``expr`` over an M*(k) hierarchy with the named strategy.
+
+    ``strategy`` is a key of :data:`STRATEGIES` or ``"auto"`` — a
+    cost-based chooser for the strategy-selection problem the paper
+    leaves open (:mod:`repro.indexes.optimizer`; ``index._optimizer``
+    holds it once created).  Descendant axes have unbounded instance
+    length, so no prefix-per-component scheme applies: they evaluate in
+    the finest component the query needs and validate (the safe route).
+    """
+    tracer = _trace.TRACER
+    if expr.has_descendant_steps:
+        if tracer.enabled:
+            with tracer.span("mstar.query", query=str(expr),
+                             strategy="naive-descendant"):
+                return query_naive(index, expr, counter)
+        return query_naive(index, expr, counter)
+
+    chosen = strategy
+    if strategy == "auto":
+        if index._optimizer is None:
+            from repro.indexes.optimizer import StrategyOptimizer
+
+            index._optimizer = StrategyOptimizer(index)
+        chosen = index._optimizer.choose(expr)
+    run = STRATEGIES.get(chosen)
+    if run is None:
+        raise ValueError(f"unknown strategy {chosen!r}")
+    if tracer.enabled:
+        # The strategy tag records the per-component evaluation route
+        # actually taken (after the cost-based "auto" choice resolves).
+        with tracer.span("mstar.query", query=str(expr),
+                         strategy=chosen, requested=strategy):
+            return run(index, expr, counter)
+    return run(index, expr, counter)

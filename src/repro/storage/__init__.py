@@ -6,30 +6,29 @@ that can be loaded into memory selectively and incrementally during
 query processing."  This subpackage builds that structure:
 
 * :mod:`repro.storage.serialization` — binary round-tripping of data
-  graphs and M*(k)-indexes;
+  graphs, and of M*(k)-indexes through ``mstar-hierarchy`` segments;
 * :mod:`repro.storage.pager` — a page file (optionally mmap-backed,
   checksum-verified) plus an LRU buffer pool with pin counts, a
   scan-resistant admission policy, eviction epochs, and read/hit
   accounting;
-* :mod:`repro.storage.segment` — the immutable paged segment format:
-  sorted key runs + offset footer, bisect/readv lookup that touches
-  only the pages a query needs;
+* :mod:`repro.storage.segment` — the one on-disk index format, an
+  immutable paged segment: sorted key runs + offset footer, bisect/readv
+  lookup that touches only the pages a query needs;
 * :mod:`repro.storage.spill` — bounded-RAM spill-path construction
   (external runs under ``REPRO_STORAGE_BUDGET``, merged through
   ``Extent.from_sorted`` into segments) for A(k) and the M*(k)
   resolution hierarchy, plus paged CSR adjacency;
 * :mod:`repro.storage.prefetch` — trace-driven background prefetch for
-  sequential page runs;
-* :mod:`repro.storage.diskindex` — :class:`DiskMStarIndex`, a read-only
-  on-disk M*(k)-index whose top-down query algorithm touches only the
-  pages holding the index nodes it walks, so short queries stay inside
-  the (small, hot) coarse components.
+  sequential page runs.
+
+:mod:`repro.indexes.segmented` serves A(k) and M*(k) segments: the
+skeleton navigates in RAM and a query reads only the extent pages of
+the nodes it reaches.
 
 See ``docs/storage.md`` for the format, pager policy, and recovery
 semantics.
 """
 
-from repro.storage.diskindex import DiskMStarIndex
 from repro.storage.pager import BufferPool, PageFile
 from repro.storage.prefetch import BackgroundPrefetcher
 from repro.storage.segment import (
@@ -62,7 +61,6 @@ __all__ = [
     "BUDGET_ENV",
     "BackgroundPrefetcher",
     "BufferPool",
-    "DiskMStarIndex",
     "OocBuildReport",
     "PageFile",
     "PagedAdjacency",

@@ -1,7 +1,7 @@
-"""Page file and buffer pool for the disk-resident index.
+"""Page file and buffer pool under the segment format.
 
-``PageFile`` lays index-node records out in fixed-budget pages and reads
-a page's records back on demand; ``BufferPool`` keeps a bounded LRU set
+``PageFile`` reads one page of a segment (:mod:`repro.storage.segment`)
+on demand and parses its records; ``BufferPool`` keeps a bounded LRU set
 of parsed pages and counts physical reads versus hits — the I/O metric
 the disk-resident benches report.
 
@@ -10,8 +10,8 @@ PR 9 extensions (the out-of-core data plane, see ``docs/storage.md``):
 * **mmap-backed reads** — a ``PageFile`` opened with ``use_mmap=True``
   slices a read-only memory map instead of seek+read, so concurrent
   readers need no shared-file-position lock on the data path (the
-  counters stay lock-protected).  Segments opened fresh default to it;
-  the legacy index path keeps buffered reads unless
+  counters stay lock-protected).  Segments default to it; a
+  ``PageFile`` built without a choice keeps buffered reads unless
   ``REPRO_STORAGE_MMAP=1`` asks otherwise.
 * **page checksums** — when the caller supplies per-page CRCs (the
   segment format stores them in its footer), every physical read is
@@ -48,7 +48,6 @@ from typing import Any
 
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.storage.serialization import decode_index_node
 
 DEFAULT_PAGE_SIZE = 4096
 
@@ -73,13 +72,27 @@ def _mmap_default() -> bool:
     return os.environ.get("REPRO_STORAGE_MMAP", "") not in ("", "0")
 
 
-def decode_index_page(data: bytes) -> dict[int, dict]:
-    """Default page decoder: whole index-node records -> nid -> record."""
-    records: dict[int, dict] = {}
+_REC = struct.Struct("<II")
+
+
+def decode_segment_page(data: bytes) -> list[tuple[int, bytes]]:
+    """Default page decoder: one segment page -> ``[(key, value), ...]``.
+
+    A record is ``key u32, value_len u32, value bytes`` (see
+    :mod:`repro.storage.segment`); keys ascend within the page.
+    """
+    records: list[tuple[int, bytes]] = []
     offset = 0
-    while offset < len(data):
-        record, offset = decode_index_node(data, offset)
-        records[record["nid"]] = record
+    end = len(data)
+    while offset < end:
+        key, length = _REC.unpack_from(data, offset)
+        offset += _REC.size
+        if offset + length > end:
+            raise ValueError(
+                f"record for key {key} overruns the page "
+                f"({offset + length} > {end})")
+        records.append((key, data[offset:offset + length]))
+        offset += length
     return records
 
 
@@ -94,13 +107,11 @@ class PageRef:
 class PageFile:
     """Random-access page reader over an on-disk index payload.
 
-    ``pages`` maps a page key (``(component, page_number)`` for the
-    legacy disk index, ``(0, page_number)`` for segments) to a
+    ``pages`` maps a page key (``(0, page_number)`` for segments) to a
     :class:`PageRef`.  ``decoder`` turns raw page bytes into the parsed
-    form the pool caches (default: whole index-node records parsed into
-    ``nid -> record`` dicts); ``checksums`` maps page keys to expected
-    CRC-32s, verified before decoding.  ``handle`` lets tests inject a
-    fault-wrapped file object.
+    form the pool caches (default: :func:`decode_segment_page`);
+    ``checksums`` maps page keys to expected CRC-32s, verified before
+    decoding.  ``handle`` lets tests inject a fault-wrapped file object.
     """
 
     def __init__(self, path: str, pages: dict[tuple[int, int], PageRef],
@@ -110,7 +121,8 @@ class PageFile:
                  handle: Any = None) -> None:
         self.path = path
         self.pages = pages
-        self._decoder = decoder if decoder is not None else decode_index_page
+        self._decoder = decoder if decoder is not None \
+            else decode_segment_page
         self._checksums = checksums if checksums is not None else {}
         self._handle = handle if handle is not None else open(path, "rb")
         self._mmap: mmap.mmap | None = None

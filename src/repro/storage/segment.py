@@ -68,23 +68,6 @@ class SegmentCorruption(SegmentError):
     """Stored bytes failed a checksum or structural check."""
 
 
-def decode_segment_page(data: bytes) -> list[tuple[int, bytes]]:
-    """Parse one page into ``[(key, value), ...]`` (ascending keys)."""
-    records: list[tuple[int, bytes]] = []
-    offset = 0
-    end = len(data)
-    while offset < end:
-        key, length = _REC.unpack_from(data, offset)
-        offset += _REC.size
-        if offset + length > end:
-            raise ValueError(
-                f"record for key {key} overruns the page "
-                f"({offset + length} > {end})")
-        records.append((key, data[offset:offset + length]))
-        offset += length
-    return records
-
-
 class SegmentWriter:
     """Streams ``(ascending int key, bytes)`` records into a segment.
 
@@ -215,9 +198,8 @@ class Segment:
                 enumerate(self._directory):
             pages[(0, number)] = PageRef(offset, length)
             checksums[(0, number)] = crc
-        self._file = PageFile(path, pages, decoder=decode_segment_page,
-                              checksums=checksums, use_mmap=use_mmap,
-                              handle=handle)
+        self._file = PageFile(path, pages, checksums=checksums,
+                              use_mmap=use_mmap, handle=handle)
         self.pool = BufferPool(self._file, max(1, buffer_pages),
                                admission=admission)
         self._first_keys = [entry[0] for entry in self._directory]

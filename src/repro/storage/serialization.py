@@ -1,30 +1,30 @@
 """Binary serialisation of data graphs and M*(k)-indexes.
 
-A small, dependency-free binary format (struct-packed, little-endian)
-with length-prefixed UTF-8 label tables.  ``save_graph``/``load_graph``
-round-trip :class:`~repro.graph.datagraph.DataGraph`;
-``save_mstar``/``load_mstar`` round-trip a refined
-:class:`~repro.indexes.mstarindex.MStarIndex` against a given graph.
-The disk-resident index (:mod:`repro.storage.diskindex`) shares the
-low-level record encoders defined here.
+``save_graph``/``load_graph`` round-trip a
+:class:`~repro.graph.datagraph.DataGraph` through a small,
+dependency-free binary format (struct-packed, little-endian) with
+length-prefixed UTF-8 label tables.  ``save_mstar``/``load_mstar``
+round-trip a refined :class:`~repro.indexes.mstarindex.MStarIndex`
+through the one on-disk index format, an ``mstar-hierarchy`` segment
+(:mod:`repro.storage.segment`), which
+:class:`~repro.indexes.segmented.SegmentMStarIndex` also serves paged.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from collections.abc import Iterable
 from io import BufferedReader, BufferedWriter
 
 from repro.graph.datagraph import DataGraph, EdgeKind
 from repro.indexes.mstarindex import MStarIndex
+from repro.storage.pager import DEFAULT_PAGE_SIZE
+from repro.storage.segment import Segment, SegmentWriter
 
 GRAPH_MAGIC = b"RPGR"
-MSTAR_MAGIC = b"RPMS"
 FORMAT_VERSION = 1
 
 _U32 = struct.Struct("<I")
-_U16 = struct.Struct("<H")
 
 
 def write_u32(out: BufferedWriter, value: int) -> None:
@@ -131,135 +131,117 @@ def load_graph(path: str) -> DataGraph:
 
 
 # ----------------------------------------------------------------------
-# Index-node records (shared with the disk-resident index)
+# Whole M*(k)-indexes, as ``mstar-hierarchy`` segments
 # ----------------------------------------------------------------------
-def encode_index_node(nid: int, label_id: int, k: int, extent: list[int],
-                      children: list[int], subnodes: list[int]) -> bytes:
-    """Encode one index-node record."""
-    parts = [_U32.pack(nid), _U32.pack(label_id), _U16.pack(k)]
-    for values in (extent, children, subnodes):
-        parts.append(_U32.pack(len(values)))
-        parts.append(struct.pack(f"<{len(values)}I", *values))
-    return b"".join(parts)
+def _level_k(values: list[int]) -> int | list[int]:
+    """Per-node similarities, collapsed to one int when they agree."""
+    return values[0] if values and values.count(values[0]) == len(values) \
+        else values
 
 
-def decode_index_node(data: bytes, offset: int) -> tuple[dict, int]:
-    """Decode one record at ``offset``; return (record, next offset)."""
-    nid, label_id = struct.unpack_from("<II", data, offset)
-    offset += 8
-    (k,) = struct.unpack_from("<H", data, offset)
-    offset += 2
-    fields = []
-    for _ in range(3):
-        (count,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        fields.append(list(struct.unpack_from(f"<{count}I", data, offset)))
-        offset += 4 * count
-    record = {"nid": nid, "label_id": label_id, "k": k,
-              "extent": fields[0], "children": fields[1],
-              "subnodes": fields[2]}
-    return record, offset
+def save_mstar(index: MStarIndex, path: str, *,
+               page_size: int = DEFAULT_PAGE_SIZE) -> None:
+    """Write a (refined) M*(k)-index as an ``mstar-hierarchy`` segment.
 
-
-# ----------------------------------------------------------------------
-# Whole M*(k)-indexes (exact in-memory round trip)
-# ----------------------------------------------------------------------
-def save_mstar(index: MStarIndex, path: str) -> None:
-    """Write a (refined) M*(k)-index to ``path``.
-
-    The data graph itself is not stored; :func:`load_mstar` re-attaches
-    the index to the graph it was built over.
+    The segment kind :func:`~repro.storage.spill.build_hierarchy_segment`
+    writes too: per component a skeleton in the footer meta (labels,
+    children, per-node ``k``, supernode links) and one extent record per
+    node, keyed ``component * stride + node``.  Node ids are sparse
+    after refinement, so each component is renumbered densely in
+    ascending id order.  The data graph itself is not stored:
+    :func:`load_mstar` re-attaches the index to the graph it was built
+    over, and :class:`~repro.indexes.segmented.SegmentMStarIndex` serves
+    the file paged.
     """
-    with open(path, "wb") as out:
-        out.write(MSTAR_MAGIC)
-        write_u32(out, FORMAT_VERSION)
-        label_ids = write_label_table(out, index.graph.labels)
-        write_u32(out, len(index.components))
-        # Node ids are sparse after refinement; renumber densely per
-        # component (the loader recreates them in this order).
-        mappings = [{nid: dense for dense, nid in enumerate(sorted(component.nodes))}
-                    for component in index.components]
-        for i, component in enumerate(index.components):
-            write_u32(out, len(component.nodes))
-            is_last = i == index.max_resolution
-            mapping = mappings[i]
-            for nid in sorted(component.nodes):
-                node = component.nodes[nid]
-                children = sorted(mapping[child]
-                                  for child in component.children_of(nid))
-                subnodes = (sorted(mappings[i + 1][sub]
-                                   for sub in index.subnodes[i][nid])
-                            if not is_last else [])
-                out.write(encode_index_node(
-                    mapping[nid], label_ids[node.label], node.k,
-                    list(node.extent), children, subnodes))
+    graph = index.graph
+    labels = sorted(graph.alphabet())
+    label_ids = {label: position for position, label in enumerate(labels)}
+    stride = graph.num_nodes
+    orders = [sorted(component.nodes) for component in index.components]
+    mappings = [{nid: dense for dense, nid in enumerate(order)}
+                for order in orders]
+    levels = []
+    for number, component in enumerate(index.components):
+        mapping = mappings[number]
+        nodes = [component.nodes[nid] for nid in orders[number]]
+        level: dict = {
+            "num_nodes": len(nodes),
+            "label_of": [label_ids[node.label] for node in nodes],
+            "children": [sorted(mapping[child]
+                                for child in component.children_of(node.nid))
+                         for node in nodes],
+            "k": _level_k([node.k for node in nodes]),
+            "root": mapping[component.root_nid],
+        }
+        if number:
+            above = mappings[number - 1]
+            links = index.supernode[number]
+            level["supernode"] = [above[links[node.nid]] for node in nodes]
+        levels.append(level)
+    meta = {"kind": "mstar-hierarchy", "k": index.max_resolution,
+            "stride": stride, "labels": labels, "levels": levels}
+    with SegmentWriter(path, page_size=page_size, meta=meta) as writer:
+        for number, component in enumerate(index.components):
+            base = number * stride
+            for dense, nid in enumerate(orders[number]):
+                extent = component.nodes[nid].extent
+                writer.add(base + dense,
+                           struct.pack(f"<{len(extent)}I", *extent))
 
 
 def load_mstar(path: str, graph: DataGraph) -> MStarIndex:
-    """Read an M*(k)-index written by :func:`save_mstar`.
+    """Load an ``mstar-hierarchy`` segment back into an in-RAM M*(k).
 
     ``graph`` must be the data graph the index was built over (checked
-    via extent coverage and label consistency).
+    via its size, extent labels and coverage).  Index edges are
+    re-derived from the data graph, as at construction.
     """
-    with open(path, "rb") as source:
-        if source.read(4) != MSTAR_MAGIC:
-            raise ValueError(f"{path} is not a repro M*(k) file")
-        version = read_u32(source)
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported index format version {version}")
-        table = read_label_table(source)
-        num_components = read_u32(source)
-        # Explicit-length read (storage-io discipline): the payload runs
-        # to end-of-file, so size it from fstat instead of slurping an
-        # unbounded read() — a truncated file fails here, loudly.
-        remaining = os.fstat(source.fileno()).st_size - source.tell()
-        payload = source.read(remaining)
-        if len(payload) != remaining:
-            raise ValueError(f"truncated index payload in {path}")
+    from repro.indexes.base import IndexGraph
+    from repro.indexes.segmented import decode_extent
+
+    with Segment(path, use_mmap=False) as segment:
+        meta = segment.meta
+        if meta.get("kind") != "mstar-hierarchy":
+            raise ValueError(f"{path} is not an M*(k) hierarchy segment "
+                             f"(kind={meta.get('kind')!r})")
+        stride = int(meta["stride"])
+        if stride != graph.num_nodes:
+            raise ValueError(
+                f"{path} was built over a {stride}-node graph, not this "
+                f"{graph.num_nodes}-node one")
+        labels = meta["labels"]
+        levels = meta["levels"]
+        components = [IndexGraph(graph) for _ in levels]
+        for key, payload in segment.iter_all():
+            number, nid = divmod(key, stride)
+            level = levels[number]
+            label = labels[level["label_of"][nid]]
+            similarity = level.get("k", number)
+            extent = decode_extent(payload)
+            if any(graph.labels[oid] != label for oid in extent):
+                raise ValueError("index file does not match this data graph")
+            created = components[number]._add_node(
+                extent, similarity if isinstance(similarity, int)
+                else similarity[nid], label=label)
+            if created != nid:
+                raise ValueError(f"{path}: missing extent records in "
+                                 f"component {number}")
 
     index = MStarIndex.__new__(MStarIndex)
     index.graph = graph
-    index.components = []
-    index.supernode = []
+    index.components = components
+    index.supernode = [{}]
     index.subnodes = []
     index._optimizer = None
-
-    from repro.indexes.base import IndexGraph
-
-    offset = 0
-    all_subnodes: list[dict[int, list[int]]] = []
-    position = 0
-    # num-node prefixes are interleaved in the payload stream.
-    data = payload
-    for i in range(num_components):
-        (num_nodes,) = struct.unpack_from("<I", data, position)
-        position += 4
-        component = IndexGraph(graph)
-        subnode_map: dict[int, list[int]] = {}
-        for _ in range(num_nodes):
-            record, position = decode_index_node(data, position)
-            label = table[record["label_id"]]
-            if any(graph.labels[oid] != label for oid in record["extent"]):
-                raise ValueError("index file does not match this data graph")
-            created = component._add_node(record["extent"], record["k"])
-            if created != record["nid"]:
-                # _add_node numbers sequentially; remap is not supported,
-                # but save_mstar writes nodes in ascending nid order after
-                # renumbering, so ids are dense here.
-                raise ValueError("non-dense node ids in index file")
-            subnode_map[record["nid"]] = record["subnodes"]
+    for number, component in enumerate(components):
         component._assert_covering()
         component._rebuild_edges()
-        index.components.append(component)
-        all_subnodes.append(subnode_map)
-
-    index.supernode.append({})
-    for i in range(num_components - 1):
-        index.subnodes.append({nid: set(subs)
-                               for nid, subs in all_subnodes[i].items()})
-        supernode_map: dict[int, int] = {}
-        for nid, subs in all_subnodes[i].items():
-            for sub in subs:
-                supernode_map[sub] = nid
-        index.supernode.append(supernode_map)
+        if number:
+            supernode = dict(enumerate(levels[number]["supernode"]))
+            subnodes: dict[int, set[int]] = {
+                nid: set() for nid in components[number - 1].nodes}
+            for nid, sup in supernode.items():
+                subnodes[sup].add(nid)
+            index.supernode.append(supernode)
+            index.subnodes.append(subnodes)
     return index

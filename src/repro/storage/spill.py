@@ -262,13 +262,17 @@ def _pack_oids(values: array) -> bytes:
 
 
 def _block_meta(graph: "DataGraph", blocks: list[int],
-                dense_of: dict[int, int],
-                label_ids: dict[str, int]) -> dict:
-    """Skeleton meta for one partition level: labels, adjacency, directory.
+                dense_of: dict[int, int], label_ids: dict[str, int],
+                k: int, above: list[int] | None = None,
+                ) -> tuple[dict, list[int]]:
+    """Skeleton meta for one partition level, and its oid -> node map.
 
-    All O(index size), kept in the segment footer: the skeleton is what
-    a query navigates (small), the extents are what it avoids loading
-    (large) — the paper's "loaded selectively and incrementally" split.
+    Per node: label, child edges, and — when ``above`` (the coarser
+    level's oid -> node map) is given — its supernode there; every node
+    of a block level shares the similarity ``k``.  All O(index size),
+    kept in the segment footer: the skeleton is what a query navigates
+    (small), the extents are what it avoids loading (large) — the
+    paper's "loaded selectively and incrementally" split.
     """
     num_blocks = len(dense_of)
     label_of: list[int] = [-1] * num_blocks
@@ -283,16 +287,18 @@ def _block_meta(graph: "DataGraph", blocks: list[int],
         row = rows[oid]
         for child in row:
             children[up].add(node_of[child])
-    by_label: dict[str, list[int]] = {}
-    for nid, label_id in enumerate(label_of):
-        by_label.setdefault(str(label_id), []).append(nid)
-    return {
+    meta = {
         "num_nodes": num_blocks,
         "label_of": label_of,
         "children": [sorted(kids) for kids in children],
-        "by_label": by_label,
+        "k": k,
         "root": node_of[graph.root],
     }
+    if above is not None:
+        # Every oid of a block shares one coarser block: any pair does.
+        links = dict(zip(node_of, above))
+        meta["supernode"] = [links[nid] for nid in range(num_blocks)]
+    return meta, node_of
 
 
 def build_ak_segment(graph: "DataGraph", k: int, path: str, *,
@@ -320,7 +326,7 @@ def build_ak_segment(graph: "DataGraph", k: int, path: str, *,
         "kind": "ak-extents",
         "k": k,
         "labels": sorted(graph.alphabet()),
-        "levels": [_block_meta(graph, blocks, dense_of, label_ids)],
+        "levels": [_block_meta(graph, blocks, dense_of, label_ids, k)[0]],
     }
     report = OocBuildReport(path=path, kind=f"A({k})")
     _write_extent_segment(report, [(blocks, dense_of, 0)], meta, path,
@@ -344,6 +350,10 @@ def build_hierarchy_segment(graph: "DataGraph", k: int, path: str, *,
     extents into one segment under composite keys ``level * stride +
     dense_nid`` (stride = ``graph.num_nodes``, so keys stay ascending
     level-major and fit u32 for any graph the u32 record format holds).
+    Level ``i``'s nodes carry ``k = i`` and a link to their supernode in
+    level ``i - 1`` — the ``mstar-hierarchy`` kind
+    :func:`repro.storage.serialization.save_mstar` also writes, served
+    by :class:`repro.indexes.segmented.SegmentMStarIndex`.
     """
     started = time.perf_counter()
     levels = kbisimulation_levels(graph, k)
@@ -351,11 +361,14 @@ def build_hierarchy_segment(graph: "DataGraph", k: int, path: str, *,
     level_metas = []
     label_ids = {label: position
                  for position, label in enumerate(sorted(graph.alphabet()))}
+    above: list[int] | None = None
     for level, blocks in enumerate(levels):
         dense_of = {block: dense
                     for dense, block in enumerate(sorted(set(blocks)))}
         level_specs.append((blocks, dense_of, level))
-        level_metas.append(_block_meta(graph, blocks, dense_of, label_ids))
+        level_meta, above = _block_meta(graph, blocks, dense_of, label_ids,
+                                        level, above)
+        level_metas.append(level_meta)
     meta = {
         "kind": "mstar-hierarchy",
         "k": k,

@@ -45,7 +45,7 @@ class Discrepancy:
     """One verification failure, with enough context to replay it."""
 
     kind: str  # "answers" | "invariant" | "witness" | "cost" | "cache"
-    # | "update" | "error"
+    # | "update" | "shard" | "segment" | "error"
     family: str
     detail: str
     query: str | None = None
@@ -657,4 +657,82 @@ def check_shard_equivalence(graph: DataGraph,
                        f"false negatives "
                        f"{sorted(truth - served.answers)[:5]}",
                 **context))
+    return discrepancies
+
+
+# ----------------------------------------------------------------------
+# The segment axis: indexes written to disk must answer like in RAM
+# ----------------------------------------------------------------------
+def check_segment_equivalence(graph: DataGraph,
+                              stream: Sequence[PathExpression],
+                              k: int = 2,
+                              profile: str | None = None,
+                              graph_seed: int | None = None
+                              ) -> list[Discrepancy]:
+    """A segment-served index must answer like the in-RAM index it was
+    written from, answers and :class:`CostCounter` alike.
+
+    Refines an M*(k) through an engine over ``stream``, writes it
+    (:func:`~repro.storage.serialization.save_mstar`) and an A(``k``)
+    (:func:`~repro.storage.spill.build_ak_segment`) to segments in a
+    temporary directory, then runs every stream query through both
+    segment views and their in-RAM twins.  Both views run the same
+    walk as the in-RAM indexes, so this keeps that sharing a standing
+    oracle check.  Divergences are ``kind="segment"``.
+    """
+    import os
+    import tempfile
+    from typing import Any, cast
+
+    from repro.indexes.segmented import SegmentAkIndex, SegmentMStarIndex
+    from repro.storage.serialization import save_mstar
+    from repro.storage.spill import build_ak_segment
+
+    discrepancies: list[Discrepancy] = []
+    context = dict(profile=profile, graph_seed=graph_seed)
+    with tempfile.TemporaryDirectory(prefix="repro-verify-") as tmp:
+        try:
+            engine = AdaptiveIndexEngine(graph, index_factory=MStarIndex)
+            for expr in stream:
+                engine.execute(expr)
+            refined = cast(MStarIndex, engine.index)
+            pairs: list[tuple[str, Any, Any]] = []
+            mstar_path = os.path.join(tmp, "mstar.seg")
+            save_mstar(refined, mstar_path, page_size=512)
+            pairs.append(("segment[M*(k)]", refined,
+                          SegmentMStarIndex(mstar_path, graph,
+                                            buffer_pages=4)))
+            ak_path = os.path.join(tmp, "ak.seg")
+            build_ak_segment(graph, k, ak_path, page_size=512)
+            pairs.append((f"segment[A({k})]", AkIndex(graph, k),
+                          SegmentAkIndex(ak_path, graph, buffer_pages=4)))
+        except Exception as exc:  # noqa: BLE001 - fuzzing wants the crash
+            return [Discrepancy(
+                kind="error", family="segment",
+                detail=f"segment build raised {type(exc).__name__}: {exc}",
+                **context)]
+        for family, ram, served in pairs:
+            with served:
+                for step, expr in enumerate(stream):
+                    expected = ram.query(expr)
+                    try:
+                        result = served.query(expr)
+                    except Exception as exc:  # noqa: BLE001
+                        discrepancies.append(Discrepancy(
+                            kind="error", family=family, query=str(expr),
+                            step=step,
+                            detail=f"segment query raised "
+                                   f"{type(exc).__name__}: {exc}",
+                            **context))
+                        break
+                    if result.answers != expected.answers or \
+                            result.cost != expected.cost or \
+                            result.validated != expected.validated:
+                        discrepancies.append(Discrepancy(
+                            kind="segment", family=family, query=str(expr),
+                            step=step,
+                            detail=f"segment answered {len(result.answers)} "
+                                   f"at {result.cost}, in RAM "
+                                   f"{len(expected.answers)} at "
+                                   f"{expected.cost}", **context))
     return discrepancies

@@ -18,7 +18,10 @@ unsound incremental maintenance.  Adaptive rounds also run the
 *sharding* axis (:func:`check_shard_equivalence`): a
 :class:`~repro.sharding.ShardedEngine` over 2-4 shards of a private
 copy of the round's graph, fed the same stream with interleaved
-updates, must answer byte-for-byte like an unsharded database.
+updates, must answer byte-for-byte like an unsharded database — and
+the *segment* axis (:func:`check_segment_equivalence`): the refined
+M*(k) and an A(k) written to segments must answer and charge exactly
+like the in-RAM indexes they were written from.
 
 Deterministic: the same ``(seed, rounds, options)`` always replays the
 same campaign, and every discrepancy reduces to a
@@ -56,6 +59,7 @@ from repro.verify.oracle import (
     Discrepancy,
     check_cache_equivalence,
     check_engine_sequence,
+    check_segment_equivalence,
     check_shard_equivalence,
     check_static_suite,
     check_update_equivalence,
@@ -197,6 +201,12 @@ def _run_rounds(report: VerificationReport, profiles, seeds, family_list,
             found.extend(check_shard_equivalence(
                 graph, stream, num_shards=2 + round_number % 3,
                 profile=round_profile.name, graph_seed=round_seed))
+            report.engine_steps += len(stream)
+            # The segment axis: the refined M*(k) and an A(k) written to
+            # segments must answer and charge like the in-RAM indexes.
+            found.extend(check_segment_equivalence(
+                graph, stream, k=k, profile=round_profile.name,
+                graph_seed=round_seed))
             report.engine_steps += len(stream)
             # The updates axis mutates the graph, so it must be the last
             # user of this round's graph: document updates interleave

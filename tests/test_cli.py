@@ -51,7 +51,7 @@ class TestStats:
 
 class TestIndexAndQuery:
     def test_index_roundtrip(self, document, tmp_path, capsys):
-        index_path = str(tmp_path / "i.rpms")
+        index_path = str(tmp_path / "i.seg")
         assert main(["index", document, "-o", index_path,
                      "--queries", "30"]) == 0
         graph = load_graph(document)
@@ -59,13 +59,13 @@ class TestIndexAndQuery:
         index.check_invariants()
 
     def test_index_with_disk_output(self, document, tmp_path, capsys):
-        index_path = str(tmp_path / "i.rpms")
-        disk_path = str(tmp_path / "i.rpdi")
-        assert main(["index", document, "-o", index_path, "--queries", "20",
-                     "--disk", disk_path]) == 0
-        from repro.storage.diskindex import DiskMStarIndex
-        with DiskMStarIndex(disk_path, load_graph(document)) as disk:
-            assert disk.num_components >= 1
+        # The index output is the on-disk index: it also serves paged.
+        index_path = str(tmp_path / "i.seg")
+        assert main(["index", document, "-o", index_path,
+                     "--queries", "20"]) == 0
+        from repro.indexes.segmented import SegmentMStarIndex
+        with SegmentMStarIndex(index_path, load_graph(document)) as disk:
+            assert len(disk.components) >= 1
 
     def test_query_without_index(self, document, capsys):
         assert main(["query", document, "//person", "-v"]) == 0
@@ -74,7 +74,7 @@ class TestIndexAndQuery:
         assert "oids" in out
 
     def test_query_with_index_and_refine(self, document, tmp_path, capsys):
-        index_path = str(tmp_path / "i.rpms")
+        index_path = str(tmp_path / "i.seg")
         main(["index", document, "-o", index_path, "--queries", "10"])
         assert main(["query", document, "--index", index_path, "--refine",
                      "//people/person"]) == 0

@@ -179,16 +179,18 @@ class TestIndexAssisted:
 
     def test_disk_index_exact_on_descendant_queries(self, small_xmark,
                                                     tmp_path):
+        from repro.indexes.segmented import SegmentMStarIndex
         from repro.queries.workload import Workload
-        from repro.storage.diskindex import DiskMStarIndex
+        from repro.storage.serialization import save_mstar
 
         workload = Workload.generate(small_xmark, num_queries=30,
                                      max_length=5, seed=30)
         index = MStarIndex(small_xmark)
         for expr in workload:
             index.refine(expr, index.query(expr))
-        path = str(tmp_path / "i.rpdi")
-        with DiskMStarIndex.build(index, path) as disk:
+        path = str(tmp_path / "i.seg")
+        save_mstar(index, path)
+        with SegmentMStarIndex(path, small_xmark) as disk:
             for text in ("//site//person", "//people//name",
                          "/site//seller", "//open_auction//date"):
                 expr = PathExpression.parse(text)

@@ -103,32 +103,34 @@ class TestPartitionSpans:
 
 class TestDiskSpans:
     def test_disk_query_emits_pager_spans(self, fig1, tracer, tmp_path):
-        from repro.storage.diskindex import DiskMStarIndex
+        from repro.indexes.segmented import SegmentAkIndex
+        from repro.storage.spill import build_ak_segment
 
-        index = MStarIndex(fig1)
         expr = PathExpression.parse("//site/people/person")
-        index.refine(expr, index.query(expr))
+        path = str(tmp_path / "index.seg")
+        build_ak_segment(fig1, 2, path)
         tracer.clear()
-        path = str(tmp_path / "index.rpdi")
-        with DiskMStarIndex.build(index, path, buffer_pages=4) as disk:
+        with SegmentAkIndex(path, fig1, buffer_pages=4) as disk:
             disk.query(expr)
         records = tracer.spans()
         names = set(span_names(records))
-        assert "diskindex.query" in names
+        assert "segindex.query" in names
         assert "pager.read_page" in names
         assert validate_nesting(records) == []
-        query = next(r for r in records if r.name == "diskindex.query")
+        query = next(r for r in records if r.name == "segindex.query")
         read = next(r for r in records if r.name == "pager.read_page")
         assert read.parent == query.sid
 
     def test_pager_metrics_count_io(self, fig1, tracer, tmp_path):
-        from repro.storage.diskindex import DiskMStarIndex
+        from repro.indexes.segmented import SegmentMStarIndex
+        from repro.storage.serialization import save_mstar
 
         index = MStarIndex(fig1)
         expr = PathExpression.parse("//people/person")
         before = REGISTRY.snapshot()
-        path = str(tmp_path / "index.rpdi")
-        with DiskMStarIndex.build(index, path, buffer_pages=4) as disk:
+        path = str(tmp_path / "index.seg")
+        save_mstar(index, path)
+        with SegmentMStarIndex(path, fig1, buffer_pages=4) as disk:
             disk.query(expr)
             disk.query(expr)
             reads, hits = disk.io_stats()
@@ -151,7 +153,7 @@ class TestTraceCli:
         payload = json.loads(out.read_text())
         assert validate_chrome_trace(payload) == []
         categories = {event["cat"] for event in payload["traceEvents"]}
-        assert {"engine", "evaluator", "pager", "diskindex"} <= categories
+        assert {"engine", "evaluator", "pager", "segindex"} <= categories
         assert categories & {"mstar", "mk", "dk", "partition"}
         assert not TRACER.enabled  # the command must not leak tracing on
         assert "check OK" in capsys.readouterr().out

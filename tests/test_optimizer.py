@@ -82,7 +82,7 @@ class TestAutoStrategy:
     def test_auto_survives_serialisation(self, small_xmark, tmp_path):
         from repro.storage.serialization import load_mstar, save_mstar
         index, workload = refined(small_xmark, num_queries=20)
-        path = str(tmp_path / "i.rpms")
+        path = str(tmp_path / "i.seg")
         save_mstar(index, path)
         loaded = load_mstar(path, small_xmark)
         expr = list(workload)[0]

@@ -198,14 +198,44 @@ class TestRootedCertificationSoundness:
         assert required_similarity(g, PathExpression.parse("/b")) == 1
 
     def test_disk_index_also_guarded(self, impostor_graph, tmp_path):
-        from repro.storage.diskindex import DiskMStarIndex
+        from repro.indexes.segmented import SegmentMStarIndex
+        from repro.storage.serialization import save_mstar
 
-        path = str(tmp_path / "impostor.idx")
-        with DiskMStarIndex.build(MStarIndex(impostor_graph), path) as disk:
+        path = str(tmp_path / "impostor.seg")
+        save_mstar(MStarIndex(impostor_graph), path)
+        with SegmentMStarIndex(path, impostor_graph) as disk:
             for text in ("/b", "/x/a/b", "/a"):
                 expr = PathExpression.parse(text)
                 truth = evaluate_on_data_graph(impostor_graph, expr)
                 assert disk.query(expr).answers == truth, text
+
+    def test_segment_rooted_walk_starts_at_the_root(self, tmp_path):
+        """A segment-served rooted walk starts at the root's node, as
+        the in-RAM index does, not at every node sharing the root's
+        label: on ``a -> b, a -> a -> b`` with ``/b`` over A(2) the
+        segment charged 5 index + 2 data visits where ``AkIndex``
+        charges 3 + 1, for the same answers."""
+        from repro.indexes.segmented import SegmentAkIndex
+        from repro.storage.spill import build_ak_segment
+
+        g = DataGraph()
+        root = g.add_node("a")
+        b1 = g.add_node("b")
+        a2 = g.add_node("a")
+        b2 = g.add_node("b")
+        g.add_edge(root, b1)
+        g.add_edge(root, a2)
+        g.add_edge(a2, b2)
+        path = str(tmp_path / "a2.seg")
+        build_ak_segment(g, 2, path)
+        ram = AkIndex(g, 2)
+        expr = PathExpression.parse("/b")
+        with SegmentAkIndex(path, g) as served:
+            result = served.query(expr)
+        expected = ram.query(expr)
+        assert result.answers == expected.answers == {b1}
+        assert (result.cost.index_visits, result.cost.data_visits) == (3, 1)
+        assert result.cost == expected.cost
 
 
 class TestWitnessDeterminism:

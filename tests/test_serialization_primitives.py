@@ -5,8 +5,6 @@ import io
 import pytest
 
 from repro.storage.serialization import (
-    decode_index_node,
-    encode_index_node,
     read_label_table,
     read_string,
     read_u32,
@@ -56,28 +54,3 @@ class TestPrimitives:
         buffer.seek(0)
         assert read_label_table(buffer) == ["a", "b", "c"]
 
-
-class TestIndexNodeRecords:
-    def test_roundtrip(self):
-        record = encode_index_node(5, 2, 3, [10, 11, 12], [1, 2], [7])
-        decoded, offset = decode_index_node(record, 0)
-        assert offset == len(record)
-        assert decoded == {"nid": 5, "label_id": 2, "k": 3,
-                           "extent": [10, 11, 12], "children": [1, 2],
-                           "subnodes": [7]}
-
-    def test_empty_lists(self):
-        record = encode_index_node(0, 0, 0, [], [], [])
-        decoded, _ = decode_index_node(record, 0)
-        assert decoded["extent"] == []
-        assert decoded["children"] == []
-        assert decoded["subnodes"] == []
-
-    def test_consecutive_records_parse(self):
-        first = encode_index_node(1, 0, 0, [1], [], [])
-        second = encode_index_node(2, 1, 5, [2, 3], [1], [])
-        data = first + second
-        one, offset = decode_index_node(data, 0)
-        two, end = decode_index_node(data, offset)
-        assert (one["nid"], two["nid"]) == (1, 2)
-        assert end == len(data)

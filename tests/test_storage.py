@@ -5,11 +5,12 @@ import os
 import pytest
 
 from repro.indexes.mstarindex import MStarIndex
+from repro.indexes.segmented import SegmentMStarIndex
 from repro.queries.evaluator import evaluate_on_data_graph
 from repro.queries.pathexpr import PathExpression
 from repro.queries.workload import Workload
-from repro.storage.diskindex import DiskMStarIndex
 from repro.storage.pager import BufferPool, PageFile, PageRef
+from repro.storage.segment import Segment
 from repro.storage.serialization import (
     load_graph,
     load_mstar,
@@ -26,6 +27,12 @@ def refined_mstar(small_xmark):
     for expr in workload:
         index.refine(expr, index.query(expr))
     return index, workload
+
+
+def served(index, path, *, page_size=4096, buffer_pages=64):
+    """Write ``index`` as a segment at ``path`` and serve it paged."""
+    save_mstar(index, path, page_size=page_size)
+    return SegmentMStarIndex(path, index.graph, buffer_pages=buffer_pages)
 
 
 class TestGraphSerialization:
@@ -67,7 +74,7 @@ class TestMStarSerialization:
     def test_roundtrip_preserves_answers(self, small_xmark, refined_mstar,
                                          tmp_path):
         index, workload = refined_mstar
-        path = str(tmp_path / "i.rpms")
+        path = str(tmp_path / "i.seg")
         save_mstar(index, path)
         loaded = load_mstar(path, small_xmark)
         loaded.check_invariants()
@@ -77,7 +84,7 @@ class TestMStarSerialization:
     def test_roundtrip_preserves_sizes(self, small_xmark, refined_mstar,
                                        tmp_path):
         index, _ = refined_mstar
-        path = str(tmp_path / "i.rpms")
+        path = str(tmp_path / "i.seg")
         save_mstar(index, path)
         loaded = load_mstar(path, small_xmark)
         assert loaded.size_nodes() == index.size_nodes()
@@ -86,13 +93,13 @@ class TestMStarSerialization:
     def test_wrong_graph_rejected(self, small_xmark, small_nasa,
                                   refined_mstar, tmp_path):
         index, _ = refined_mstar
-        path = str(tmp_path / "i.rpms")
+        path = str(tmp_path / "i.seg")
         save_mstar(index, path)
         with pytest.raises((ValueError, IndexError)):
             load_mstar(path, small_nasa)
 
     def test_bad_magic_rejected(self, small_xmark, tmp_path):
-        path = str(tmp_path / "bad.rpms")
+        path = str(tmp_path / "bad.seg")
         with open(path, "wb") as out:
             out.write(b"NOPE" + b"\0" * 16)
         with pytest.raises(ValueError, match="not a repro"):
@@ -103,23 +110,24 @@ class TestPager:
     def test_page_file_reads_and_counts(self, small_xmark, refined_mstar,
                                         tmp_path):
         index, _ = refined_mstar
-        path = str(tmp_path / "i.rpdi")
-        disk = DiskMStarIndex.build(index, path, page_size=512)
-        assert disk.page_count > 1
-        first_key = next(iter(disk._file.pages))
-        records = disk._file.read_page(first_key)
+        path = str(tmp_path / "i.seg")
+        save_mstar(index, path, page_size=512)
+        segment = Segment(path)
+        assert segment.num_pages > 1
+        first_key = next(iter(segment._file.pages))
+        records = segment._file.read_page(first_key)
         assert records
-        assert disk._file.reads == 1
-        disk.close()
+        assert segment._file.reads == 1
+        segment.close()
 
     def test_buffer_pool_lru_and_hits(self, small_xmark, refined_mstar,
                                       tmp_path):
         index, _ = refined_mstar
-        path = str(tmp_path / "i.rpdi")
-        disk = DiskMStarIndex.build(index, path, page_size=512,
-                                    buffer_pages=2)
-        keys = list(disk._file.pages)[:3]
-        pool = disk.pool
+        path = str(tmp_path / "i.seg")
+        save_mstar(index, path, page_size=512)
+        segment = Segment(path, buffer_pages=2)
+        keys = list(segment._file.pages)[:3]
+        pool = segment.pool
         pool.page(keys[0])
         pool.page(keys[0])
         assert pool.hits == 1
@@ -128,7 +136,7 @@ class TestPager:
         reads_before = pool.reads
         pool.page(keys[0])
         assert pool.reads == reads_before + 1
-        disk.close()
+        segment.close()
 
     def test_concurrent_readers_account_exactly(self, small_xmark,
                                                 refined_mstar, tmp_path):
@@ -140,11 +148,11 @@ class TestPager:
         import threading
 
         index, _ = refined_mstar
-        path = str(tmp_path / "i.rpdi")
-        disk = DiskMStarIndex.build(index, path, page_size=256,
-                                    buffer_pages=4)
-        pool = disk.pool
-        keys = list(disk._file.pages)
+        path = str(tmp_path / "i.seg")
+        save_mstar(index, path, page_size=256)
+        segment = Segment(path, buffer_pages=4)
+        pool = segment.pool
+        keys = list(segment._file.pages)
         assert len(keys) >= 2
         pool.reset_stats()
         requests_per_thread = 400
@@ -173,7 +181,7 @@ class TestPager:
         assert pool.hits + pool.misses == total
         assert pool.reads == pool.misses
         assert pool.cached_pages() <= pool.capacity
-        disk.close()
+        segment.close()
 
     def test_capacity_validation(self, tmp_path):
         path = str(tmp_path / "x")
@@ -209,11 +217,10 @@ class TestPager:
     def test_reset_stats_keeps_cache_warm(self, small_xmark, refined_mstar,
                                           tmp_path):
         index, workload = refined_mstar
-        path = str(tmp_path / "i.rpdi")
-        disk = DiskMStarIndex.build(index, path, buffer_pages=1000)
+        disk = served(index, str(tmp_path / "i.seg"), buffer_pages=1000)
         for expr in list(workload)[:10]:
             disk.query(expr)
-        disk.reset_io_stats()
+        disk.pool.reset_stats()
         for expr in list(workload)[:10]:
             disk.query(expr)
         reads, hits = disk.io_stats()
@@ -223,29 +230,30 @@ class TestPager:
 
 
 class TestDiskIndex:
+    """An M*(k) written as a segment and served paged."""
+
     def test_answers_match_memory_index(self, small_xmark, refined_mstar,
                                         tmp_path):
         index, workload = refined_mstar
-        path = str(tmp_path / "i.rpdi")
-        with DiskMStarIndex.build(index, path) as disk:
+        with served(index, str(tmp_path / "i.seg")) as disk:
             for expr in workload:
-                assert disk.query(expr).answers == \
+                result = disk.query(expr)
+                assert result.answers == \
                     evaluate_on_data_graph(small_xmark, expr)
+                assert result.cost == index.query(expr).cost
 
     def test_rooted_queries(self, fig1, tmp_path):
         index = MStarIndex(fig1)
         expr = PathExpression.parse("/site/people/person")
         index.refine(expr, index.query(expr))
-        path = str(tmp_path / "fig1.rpdi")
-        with DiskMStarIndex.build(index, path) as disk:
+        with served(index, str(tmp_path / "fig1.seg")) as disk:
             result = disk.query(expr)
             assert result.answers == {7, 8, 9}
             assert not result.validated
 
     def test_validation_on_unrefined_queries(self, fig1, tmp_path):
         index = MStarIndex(fig1)
-        path = str(tmp_path / "fig1.rpdi")
-        with DiskMStarIndex.build(index, path) as disk:
+        with served(index, str(tmp_path / "fig1.seg")) as disk:
             result = disk.query(PathExpression.parse("//site/people/person"))
             assert result.answers == {7, 8, 9}
             assert result.validated
@@ -253,12 +261,12 @@ class TestDiskIndex:
     def test_small_buffer_costs_more_io(self, small_xmark, refined_mstar,
                                         tmp_path):
         index, workload = refined_mstar
-        path = str(tmp_path / "i.rpdi")
-        DiskMStarIndex.build(index, path, page_size=512).close()
+        path = str(tmp_path / "i.seg")
+        save_mstar(index, path, page_size=512)
 
         def total_reads(buffer_pages):
-            with DiskMStarIndex(path, small_xmark,
-                                buffer_pages=buffer_pages) as disk:
+            with SegmentMStarIndex(path, small_xmark,
+                                   buffer_pages=buffer_pages) as disk:
                 for expr in workload:
                     disk.query(expr)
                 return disk.io_stats()[0]
@@ -268,29 +276,28 @@ class TestDiskIndex:
     def test_short_queries_touch_few_pages(self, small_xmark, refined_mstar,
                                            tmp_path):
         """The selective-loading goal: a single-label query reads only
-        the coarse component's pages."""
+        the extent pages of the coarse component's targets."""
         index, _ = refined_mstar
-        path = str(tmp_path / "i.rpdi")
-        with DiskMStarIndex.build(index, path, page_size=512,
-                                  buffer_pages=100_000) as disk:
+        with served(index, str(tmp_path / "i.seg"), page_size=512,
+                    buffer_pages=100_000) as disk:
             disk.query(PathExpression.parse("//item"))
             short_reads, _ = disk.io_stats()
-            assert short_reads < disk.page_count / 2
+            assert short_reads < disk.segment.num_pages / 2
 
     def test_build_validation(self, fig1, tmp_path):
         index = MStarIndex(fig1)
         with pytest.raises(ValueError):
-            DiskMStarIndex.build(index, str(tmp_path / "x"), page_size=8)
+            save_mstar(index, str(tmp_path / "x"), page_size=8)
 
     def test_bad_magic_rejected(self, fig1, tmp_path):
-        path = str(tmp_path / "bad.rpdi")
+        path = str(tmp_path / "bad.seg")
         with open(path, "wb") as out:
             out.write(b"NOPE" + b"\0" * 16)
-        with pytest.raises(ValueError, match="not a repro disk-index"):
-            DiskMStarIndex(path, fig1)
+        with pytest.raises(ValueError, match="not a repro"):
+            SegmentMStarIndex(path, fig1)
 
     def test_file_size_reasonable(self, small_xmark, refined_mstar, tmp_path):
         index, _ = refined_mstar
-        path = str(tmp_path / "i.rpdi")
-        DiskMStarIndex.build(index, path).close()
+        path = str(tmp_path / "i.seg")
+        save_mstar(index, path)
         assert os.path.getsize(path) > 0

@@ -39,7 +39,7 @@ from repro.storage.spill import (
     inram_hierarchy_digest,
     PagedAdjacency,
 )
-from repro.indexes.segmented import SegmentAkIndex
+from repro.indexes.segmented import SegmentAkIndex, SegmentMStarIndex
 
 
 def make_segment(path, num_keys=64, page_size=128):
@@ -137,6 +137,28 @@ class TestSpillBuilders:
                 assert result.answers == ram_index.query(expr).answers
                 validated += bool(result.validated)
         assert validated > 0  # the imprecise path actually ran
+
+    def test_hierarchy_segment_serves_and_loads(self, small_xmark,
+                                                tmp_path):
+        # The spill-built hierarchy is the same segment kind save_mstar
+        # writes: served paged it answers like A(k) and charges like
+        # the M*(k) load_mstar rebuilds from it.
+        from repro.storage.serialization import load_mstar
+
+        path = str(tmp_path / "mstar.seg")
+        build_hierarchy_segment(small_xmark, 3, path, budget_bytes=8192,
+                                page_size=512)
+        loaded = load_mstar(path, small_xmark)
+        loaded.check_invariants()
+        ram_index = AkIndex(small_xmark, 3)
+        workload = Workload.generate(small_xmark, num_queries=30,
+                                     max_length=6, seed=4)
+        with SegmentMStarIndex(path, small_xmark) as served:
+            assert served.max_resolution == 3
+            for expr in workload.queries:
+                result = served.query(expr)
+                assert result.answers == ram_index.query(expr).answers
+                assert result.cost == loaded.query(expr).cost
 
     def test_wrong_kind_rejected(self, tmp_path):
         # A private graph: freeze() mutates in place, so the shared

@@ -7,9 +7,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.indexes.mstarindex import MStarIndex
+from repro.indexes.segmented import SegmentMStarIndex
 from repro.queries.evaluator import evaluate_on_data_graph
 from repro.queries.workload import Workload
-from repro.storage.diskindex import DiskMStarIndex
 from repro.storage.serialization import (
     load_graph,
     load_mstar,
@@ -46,7 +46,7 @@ class TestMStarRoundTrip:
         for expr in queries:
             index.refine(expr, index.query(expr))
         with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "i.rpms")
+            path = os.path.join(tmp, "i.seg")
             save_mstar(index, path)
             loaded = load_mstar(path, graph)
         loaded.check_invariants()
@@ -66,9 +66,11 @@ class TestDiskIndexProperties:
         for expr in queries:
             index.refine(expr, index.query(expr))
         with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "i.rpdi")
-            with DiskMStarIndex.build(index, path, page_size=page_size,
-                                      buffer_pages=3) as disk:
+            path = os.path.join(tmp, "i.seg")
+            save_mstar(index, path, page_size=page_size)
+            with SegmentMStarIndex(path, graph, buffer_pages=3) as disk:
                 for expr in queries:
-                    assert disk.query(expr).answers == \
+                    result = disk.query(expr)
+                    assert result.answers == \
                         evaluate_on_data_graph(graph, expr)
+                    assert result.cost == index.query(expr).cost

@@ -151,43 +151,6 @@ class TestPrefilter:
         assert result.answers == set()
 
 
-class TestEagerValidation:
-    """The paper's remark after QUERYTOPDOWN: validating per prefix can
-    prune dead branches early."""
-
-    def test_same_answers_as_plain_topdown(self, small_xmark):
-        from repro.indexes.strategies import query_topdown
-        workload = Workload.generate(small_xmark, num_queries=40,
-                                     max_length=6, seed=29)
-        index = MStarIndex(small_xmark)
-        for expr in list(workload)[:20]:
-            index.refine(expr, index.query(expr))
-        for expr in workload:
-            eager = query_topdown(index, expr, eager_validation=True)
-            assert eager.answers == evaluate_on_data_graph(small_xmark, expr)
-
-    def test_prunes_dead_branches_on_unrefined_index(self, small_xmark):
-        """On a coarse index, a query whose prefix dies in the data gets
-        cheaper index navigation with eager validation (the pruning may
-        itself cost data visits; the index side must not grow)."""
-        from repro.indexes.strategies import query_topdown
-        index = MStarIndex(small_xmark)
-        index.extend_components(4)
-        expr = PathExpression.parse("//site/people/person/name/last")
-        plain = query_topdown(index, expr)
-        eager = query_topdown(index, expr, eager_validation=True)
-        assert eager.answers == plain.answers
-        assert eager.cost.index_visits <= plain.cost.index_visits
-
-    def test_rooted_eager_validation(self, fig1):
-        from repro.indexes.strategies import query_topdown
-        index = MStarIndex(fig1)
-        index.extend_components(3)
-        expr = PathExpression.parse("/site/people/person")
-        eager = query_topdown(index, expr, eager_validation=True)
-        assert eager.answers == {7, 8, 9}
-
-
 class TestBottomUpAndHybrid:
     """Section 4.1 "other approaches": correct but slower than top-down."""
 

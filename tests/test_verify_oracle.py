@@ -29,6 +29,7 @@ from repro.verify.oracle import (
     check_cache_equivalence,
     check_engine_sequence,
     check_query,
+    check_segment_equivalence,
     check_static_suite,
     check_structure,
     refinable_fups,
@@ -323,6 +324,52 @@ class TestCacheEquivalence:
             fig1, stream,
             extractor_factory=lambda: FupExtractor(threshold=2,
                                                    window=3)) == []
+
+
+class TestSegmentEquivalence:
+    def test_clean_on_fig1(self, fig1):
+        stream = [PathExpression.parse(text) for text in
+                  ("//people/person", "//people/person", "/site/people",
+                   "//site//person", "//*/person", "//item/name")]
+        assert check_segment_equivalence(fig1, stream) == []
+
+    def test_fuzzed_graphs_are_clean(self):
+        for profile, seed in [(GRAPH_PROFILES[0], 21),
+                              (GRAPH_PROFILES[2], 22)]:
+            graph = random_data_graph(profile, seed)
+            stream = random_fup_stream(graph, 20, seed)
+            assert check_segment_equivalence(
+                graph, stream, profile=profile.name, graph_seed=seed) == [], \
+                (profile.name, seed)
+
+    def test_detects_a_lossy_segment_view(self, fig1, monkeypatch):
+        from repro.indexes.segmented import SegmentLevel
+
+        original = SegmentLevel.targets
+
+        def lossy(self, nids):
+            return original(self, nids)[1:]
+
+        monkeypatch.setattr(SegmentLevel, "targets", lossy)
+        stream = [PathExpression.parse("//people/person"),
+                  PathExpression.parse("//*")]
+        found = check_segment_equivalence(fig1, stream)
+        assert found
+        assert {d.kind for d in found} == {"segment"}
+        assert {d.family for d in found} == {"segment[M*(k)]",
+                                             "segment[A(2)]"}
+
+    def test_every_engine_round_runs_it(self, monkeypatch):
+        from repro.verify import runner
+
+        calls = []
+        monkeypatch.setattr(
+            runner, "check_segment_equivalence",
+            lambda graph, stream, **kwargs: calls.append(len(stream)) or [])
+        report = run_verification(seed=0, rounds=2, queries_per_round=4,
+                                  engine_queries=6)
+        assert report.ok
+        assert calls == [6, 6]
 
 
 class TestRunner:
