@@ -257,6 +257,7 @@ def cmd_ooc(args: argparse.Namespace) -> int:
         print(f"ooc: A({args.k}): peak tracked working set "
               f"{report.peak_tracked_bytes} bytes "
               f"({report.peak_ratio:.2f}x budget) in {report.seconds:.3f}s")
+        _print_segment_size(f"A({args.k})", ak_path, report.payload_bytes)
         if report.spills == 0:
             print("ooc: WARNING — build fit in the budget without "
                   "spilling; lower the budget to exercise the spill path")
@@ -290,6 +291,7 @@ def cmd_ooc(args: argparse.Namespace) -> int:
               f"{args.k + 1} levels ({hier.spills} spills, peak "
               f"{hier.peak_ratio:.2f}x budget), digest "
               f"{'matches' if matched else 'DIVERGES'}")
+        _print_segment_size(f"M*({args.k})", hier_path, hier.payload_bytes)
         if not matched:
             print("ooc: CHECK FAILED — hierarchy digest diverges from the "
                   "in-RAM levels")
@@ -304,6 +306,15 @@ def cmd_ooc(args: argparse.Namespace) -> int:
     finally:
         if owned_tmp is not None:
             owned_tmp.cleanup()
+
+
+def _print_segment_size(name: str, path: str, payload_bytes: int) -> None:
+    """One ``repro ooc`` line: segment file bytes over extent payload."""
+    import os
+
+    size = os.path.getsize(path)
+    print(f"ooc: {name}: segment {size} bytes, "
+          f"{size / payload_bytes:.3f} bytes per payload byte")
 
 
 def _ooc_answers_match(served, ram_index, graph, queries,

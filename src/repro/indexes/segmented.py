@@ -84,8 +84,7 @@ class SegmentLevel:
         self.nodes = {nid: _SkeletonNode(nid, labels[label_of[nid]], ks[nid])
                       for nid in range(count)}
         self.root_nid = int(level["root"])
-        # The label directory is derived here, not stored (older
-        # segments carry a ``by_label`` key, which is ignored).
+        # The label directory is derived here, not stored.
         self._by_label: dict[str, set[int]] = {}
         for nid, node in self.nodes.items():
             self._by_label.setdefault(node.label, set()).add(nid)

@@ -72,27 +72,69 @@ def _mmap_default() -> bool:
     return os.environ.get("REPRO_STORAGE_MMAP", "") not in ("", "0")
 
 
-_REC = struct.Struct("<II")
+#: A u32 takes at most five 7-bit varint groups.
+_MAX_VARINT_BYTES = 5
 
 
-def decode_segment_page(data: bytes) -> list[tuple[int, bytes]]:
-    """Default page decoder: one segment page -> ``[(key, value), ...]``.
+def _varint_tail(data: bytes, offset: int, first: int,
+                 end: int) -> tuple[int, int]:
+    """Finish a multi-byte LEB128 varint whose first byte was ``first``.
 
-    A record is ``key u32, value_len u32, value bytes`` (see
-    :mod:`repro.storage.segment`); keys ascend within the page.
+    ``offset`` points just past ``first``; returns ``(value, offset)``.
     """
-    records: list[tuple[int, bytes]] = []
+    value = first & 0x7F
+    shift = 7
+    while True:
+        if offset >= end:
+            raise ValueError(f"truncated varint at byte {offset}")
+        if shift >= 7 * _MAX_VARINT_BYTES:
+            raise ValueError(f"varint longer than a u32 at byte {offset}")
+        byte = data[offset]
+        offset += 1
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return value, offset
+        shift += 7
+
+
+def decode_segment_page(data: bytes) -> dict[int, bytes]:
+    """Default page decoder: one segment page -> ``{key: value}``.
+
+    A record is ``varint key, varint value_len, value bytes`` (see
+    :mod:`repro.storage.segment`): the page's first record stores its
+    key absolute, every later one the positive delta from the key
+    before it, so a page decodes without its neighbours.  The dict keeps
+    the page's ascending key order.  A truncated varint, a value that
+    overruns the page, or a zero delta (a repeated key) raises
+    ``ValueError``.
+    """
+    records: dict[int, bytes] = {}
     offset = 0
     end = len(data)
+    key = -1
     while offset < end:
-        key, length = _REC.unpack_from(data, offset)
-        offset += _REC.size
-        if offset + length > end:
+        delta = data[offset]
+        offset += 1
+        if delta > 0x7F:
+            delta, offset = _varint_tail(data, offset, delta, end)
+        if offset >= end:
+            raise ValueError(f"truncated record header at byte {offset}")
+        length = data[offset]
+        offset += 1
+        if length > 0x7F:
+            length, offset = _varint_tail(data, offset, length, end)
+        if key < 0:
+            key = delta
+        elif delta:
+            key += delta
+        else:
+            raise ValueError(f"repeated key {key} at byte {offset}")
+        stop = offset + length
+        if stop > end:
             raise ValueError(
-                f"record for key {key} overruns the page "
-                f"({offset + length} > {end})")
-        records.append((key, data[offset:offset + length]))
-        offset += length
+                f"record for key {key} overruns the page ({stop} > {end})")
+        records[key] = data[offset:stop]
+        offset = stop
     return records
 
 

@@ -8,8 +8,9 @@ a page directory kept in memory — a point lookup bisects the directory
 and reads exactly one page; a sorted multi-get coalesces keys by page
 (readv-style) and reads each touched page once.
 
-Byte layout (all integers little-endian ``u32``; see the golden tests
-in ``tests/test_storage_format.py`` which pin it byte-for-byte):
+Byte layout (integers outside the pages are little-endian ``u32``; see
+the golden tests in ``tests/test_storage_format.py`` which pin it
+byte-for-byte):
 
 .. code-block:: text
 
@@ -25,8 +26,14 @@ in ``tests/test_storage_format.py`` which pin it byte-for-byte):
     size-12    trailer: footer_offset u32, footer_crc32 u32,
                tail magic b"GSPR"
 
-A record inside a page is ``key u32, value_len u32, value bytes``; keys
-are strictly ascending across the whole file.  Every page carries a
+A record inside a page is ``varint key, varint value_len, value bytes``
+(unsigned LEB128 varints).  The first record of a page stores its key
+absolute; every later record stores the positive delta from the key
+before it, so pages stay self-contained and a dense run of small
+extents costs two header bytes per record.  Keys are strictly
+ascending across the whole file and fit a ``u32``.  Files of an older
+version (version 2 had fixed ``key u32, value_len u32`` headers) are
+refused on open with a "rebuild" message.  Every page carries a
 CRC-32 in the footer, verified by :class:`~repro.storage.pager.PageFile`
 on each physical read — a torn write or bit flip surfaces as a
 ``ValueError`` naming the page key, never as wrong bytes.  The trailer
@@ -48,12 +55,27 @@ from repro.storage.pager import DEFAULT_PAGE_SIZE, BufferPool, PageFile, PageRef
 
 SEGMENT_MAGIC = b"RPSG"
 SEGMENT_TAIL = b"GSPR"
-SEGMENT_VERSION = 2
+SEGMENT_VERSION = 3
+#: Record keys are u32s: every key is below this.
+SEGMENT_KEY_LIMIT = 1 << 32
 _HEADER_SIZE = 8
 _TRAILER_SIZE = 12
 _U32 = struct.Struct("<I")
-_REC = struct.Struct("<II")
 _DIR_ENTRY = struct.Struct("<IIIII")
+#: Record headers for the common case: key delta 1, value under 128 bytes.
+_UNIT_HEADERS = [bytes((1, length)) for length in range(0x80)]
+
+
+def _varint(value: int) -> bytes:
+    """Unsigned LEB128 encoding of ``value``."""
+    if value < 0x80:
+        return bytes((value,))
+    out = bytearray()
+    while value > 0x7F:
+        out.append((value & 0x7F) | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
 
 
 class SegmentError(ValueError):
@@ -71,7 +93,8 @@ class SegmentCorruption(SegmentError):
 class SegmentWriter:
     """Streams ``(ascending int key, bytes)`` records into a segment.
 
-    Keys must be strictly ascending (the reader's bisect depends on it).
+    Keys must be strictly ascending (the reader's bisect and the
+    key-delta headers depend on it) and fit a ``u32``.
     ``opener`` is injectable for fault testing; write failures propagate
     to the caller and leave a trailer-less file that
     :meth:`Segment.open` refuses cleanly.
@@ -110,14 +133,21 @@ class SegmentWriter:
             raise ValueError(
                 f"segment keys must be strictly ascending "
                 f"(got {key} after {self._prev_key})")
-        record = _REC.pack(key, len(value)) + value
-        if self._current and \
-                self._current_size + len(record) > self.page_size:
-            self._flush_page()
+        if key >= SEGMENT_KEY_LIMIT:
+            raise ValueError(f"segment key {key} does not fit a u32")
+        length = len(value)
+        if self._current:
+            delta = key - self._prev_key
+            header = _UNIT_HEADERS[length] if delta == 1 and length < 0x80 \
+                else _varint(delta) + _varint(length)
+            if self._current_size + len(header) + length > self.page_size:
+                self._flush_page()
         if not self._current:
             self._first_key = key
-        self._current.append(record)
-        self._current_size += len(record)
+            header = _varint(key) + _varint(length)
+        self._current.append(header)
+        self._current.append(value)
+        self._current_size += len(header) + length
         self._prev_key = key
         self.records += 1
 
@@ -293,12 +323,7 @@ class Segment:
         number = self.page_of(key)
         if number is None:
             return None
-        records = self.pool.page((0, number))
-        position = bisect_right(records, key,
-                                key=lambda record: record[0]) - 1
-        if position >= 0 and records[position][0] == key:
-            return records[position][1]
-        return None
+        return self.pool.page((0, number)).get(key)
 
     def get_many(self, keys: Iterable[int]) -> Iterator[tuple[int, bytes]]:
         """Sorted multi-get: reads each touched page once (readv-style).
@@ -306,24 +331,22 @@ class Segment:
         ``keys`` must be sorted ascending; absent keys are skipped.
         """
         current_page = -1
-        records: list[tuple[int, bytes]] = []
-        index: dict[int, bytes] = {}
+        records: dict[int, bytes] = {}
         for key in keys:
             number = self.page_of(key)
             if number is None:
                 continue
             if number != current_page:
                 records = self.pool.page((0, number))
-                index = dict(records)
                 current_page = number
-            value = index.get(key)
+            value = records.get(key)
             if value is not None:
                 yield key, value
 
     def iter_all(self) -> Iterator[tuple[int, bytes]]:
         """Every record in key order, one page resident at a time."""
         for number in range(len(self._directory)):
-            yield from self.pool.page((0, number))
+            yield from self.pool.page((0, number)).items()
 
     def keys_in_page(self, number: int) -> tuple[int, int]:
         """(first_key, last_key) of page ``number`` (directory only)."""

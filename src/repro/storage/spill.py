@@ -37,7 +37,7 @@ from repro.core.extents import Extent
 from repro.indexes.partition import kbisimulation_blocks, kbisimulation_levels
 from repro.obs import trace as _trace
 from repro.storage.pager import DEFAULT_PAGE_SIZE
-from repro.storage.segment import SegmentWriter
+from repro.storage.segment import SEGMENT_KEY_LIMIT, SegmentWriter
 
 if TYPE_CHECKING:
     from repro.graph.datagraph import DataGraph
@@ -349,12 +349,17 @@ def build_hierarchy_segment(graph: "DataGraph", k: int, path: str, *,
     the coarse end, A(k) at the fine end); this writes every level's
     extents into one segment under composite keys ``level * stride +
     dense_nid`` (stride = ``graph.num_nodes``, so keys stay ascending
-    level-major and fit u32 for any graph the u32 record format holds).
+    level-major); a graph and ``k`` whose ``(k + 1) * num_nodes`` keys
+    overflow a u32 are refused with ``ValueError`` before any work.
     Level ``i``'s nodes carry ``k = i`` and a link to their supernode in
     level ``i - 1`` — the ``mstar-hierarchy`` kind
     :func:`repro.storage.serialization.save_mstar` also writes, served
     by :class:`repro.indexes.segmented.SegmentMStarIndex`.
     """
+    if (k + 1) * graph.num_nodes > SEGMENT_KEY_LIMIT:
+        raise ValueError(
+            f"M*({k}) over {graph.num_nodes} nodes needs "
+            f"{(k + 1) * graph.num_nodes} segment keys; keys must fit a u32")
     started = time.perf_counter()
     levels = kbisimulation_levels(graph, k)
     level_specs = []

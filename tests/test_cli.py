@@ -87,6 +87,18 @@ class TestIndexAndQuery:
         assert not index.query(PathExpression.parse("//people/person")).validated
 
 
+class TestOoc:
+    def test_check_prints_segment_amplification(self, capsys):
+        assert main(["ooc", "--dataset", "xmark", "--scale", "0.01",
+                     "--k", "2", "--budget", "4096", "--page-size", "512",
+                     "--queries", "10", "--check"]) == 0
+        out = capsys.readouterr().out
+        assert "check OK" in out
+        for name in ("A(2)", "M*(2)"):
+            assert f"ooc: {name}: segment " in out
+        assert out.count("bytes per payload byte") == 2
+
+
 class TestReport:
     def test_tiny_report(self, tmp_path, capsys):
         out_path = str(tmp_path / "report.md")

@@ -24,16 +24,18 @@ from hypothesis import strategies as st
 from repro.storage.segment import Segment, SegmentWriter
 
 
+#: Oid counts per value: mostly small extents, sometimes one longer
+#: than every sampled page size (it must get a page of its own).
+_OID_COUNTS = st.one_of(st.integers(min_value=0, max_value=6),
+                        st.sampled_from([17, 33, 130, 1030]))
+
+
 @st.composite
 def segment_cases(draw):
     keys = sorted(draw(st.sets(st.integers(min_value=0,
-                                           max_value=2**32 - 2),
+                                           max_value=2**32 - 1),
                                min_size=1, max_size=80)))
-    values = [
-        struct.pack("<I", key & 0xFFFFFFFF) * draw(
-            st.integers(min_value=0, max_value=6))
-        for key in keys
-    ]
+    values = [struct.pack("<I", key) * draw(_OID_COUNTS) for key in keys]
     page_size = draw(st.sampled_from([64, 96, 128, 512, 4096]))
     return dict(zip(keys, values)), page_size
 
@@ -96,6 +98,19 @@ class TestSegmentDifferential:
             build_segment(path, reference, page_size)
             with Segment(path, buffer_pages=2, use_mmap=False) as segment:
                 assert list(segment.iter_all()) == sorted(reference.items())
+
+    @given(segment_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_oversized_value_sits_alone_on_its_page(self, case):
+        reference, page_size = case
+        with tempfile.TemporaryDirectory(prefix="repro-prop-") as tmp:
+            path = os.path.join(tmp, "case.seg")
+            build_segment(path, reference, page_size)
+            with Segment(path, buffer_pages=2, use_mmap=False) as segment:
+                for key, value in reference.items():
+                    if len(value) >= page_size:
+                        number = segment.page_of(key)
+                        assert segment.keys_in_page(number) == (key, key)
 
 
 class TestReadAmplification:

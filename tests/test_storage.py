@@ -126,6 +126,7 @@ class TestPager:
         path = str(tmp_path / "i.seg")
         save_mstar(index, path, page_size=512)
         segment = Segment(path, buffer_pages=2)
+        assert segment.num_pages > 2  # the premise: more pages than the pool
         keys = list(segment._file.pages)[:3]
         pool = segment.pool
         pool.page(keys[0])
@@ -263,6 +264,9 @@ class TestDiskIndex:
         index, workload = refined_mstar
         path = str(tmp_path / "i.seg")
         save_mstar(index, path, page_size=512)
+        with Segment(path) as segment:
+            # The premise: the small pool holds fewer pages than exist.
+            assert segment.num_pages > 2
 
         def total_reads(buffer_pages):
             with SegmentMStarIndex(path, small_xmark,

@@ -229,6 +229,60 @@ class TestDiskFull:
             Segment(path)
 
 
+class TestPageDecodeFaults:
+    """Well-checksummed pages whose records do not decode are refused.
+
+    The CRC only proves the bytes are the ones written; a page the
+    writer could never have produced must still raise, by page key,
+    without being counted as a read or admitted to the pool.
+    """
+
+    #: Key 5 (absolute), empty value; then a delta whose varint is cut
+    #: off by the page end.
+    TRUNCATED_VARINT = b"\x05\x00\x81"
+    #: Key 5 claims a 9-byte value in a page that holds 3.
+    LENGTH_PAST_END = b"\x05\x09abc"
+    #: Key 5, then a zero delta: key 5 again.
+    REPEATED_KEY = b"\x05\x01a\x00\x01b"
+
+    def _page_file(self, tmp_path, page):
+        import zlib
+
+        from repro.storage.pager import PageRef
+
+        path = str(tmp_path / "hand.seg")
+        with open(path, "wb") as out:
+            out.write(page)
+        return PageFile(path, {(0, 0): PageRef(0, len(page))},
+                        checksums={(0, 0): zlib.crc32(page)},
+                        use_mmap=False)
+
+    @pytest.mark.parametrize("page, reason", [
+        (TRUNCATED_VARINT, "truncated varint"),
+        (LENGTH_PAST_END, "overruns the page"),
+        (REPEATED_KEY, "repeated key 5"),
+    ])
+    def test_bad_record_raises_naming_the_page(self, tmp_path, page,
+                                               reason):
+        with self._page_file(tmp_path, page) as page_file:
+            with pytest.raises(ValueError,
+                               match=rf"corrupt page \(0, 0\).*{reason}"):
+                page_file.read_page((0, 0))
+            assert page_file.reads == 0
+            pool = BufferPool(page_file, 4)
+            with pytest.raises(ValueError, match="corrupt page"):
+                pool.page((0, 0))
+            assert not pool.resident((0, 0))
+            assert pool.reads == 0
+
+    def test_well_formed_page_decodes(self, tmp_path):
+        # Control: the same framing with a positive delta is accepted.
+        page = b"\x05\x01a\x02\x01b"
+        with self._page_file(tmp_path, page) as page_file:
+            assert page_file.read_page((0, 0)) == {5: b"a", 7: b"b"}
+            assert page_file.reads == 1
+
+
 class TestLegacyPageFileFaults:
     """The raw pager path honours the same detection contract."""
 

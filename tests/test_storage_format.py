@@ -26,10 +26,12 @@ from repro.storage.segment import (
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "fixtures", "storage")
-GOLDEN = os.path.join(FIXTURES, "golden_v2.seg")
+GOLDEN = os.path.join(FIXTURES, "golden_v3.seg")
 GOLDEN_SHA256 = \
-    "362e3977676a90f85410957b47ec0632bfd550adc26c94cfcb36b0f388766f90"
-GOLDEN_META = {"format": "segment-v2", "kind": "golden"}
+    "3d976f0fdd27fe3f7807279e64899086d498a245bff3100e5f0b473245f45006"
+GOLDEN_META = {"format": "segment-v3", "kind": "golden"}
+#: The previous format's fixture, kept to prove it is refused.
+GOLDEN_V2 = os.path.join(FIXTURES, "golden_v2.seg")
 
 
 def golden_records():
@@ -67,9 +69,9 @@ class TestByteLayout:
     def test_header_magic_and_little_endian_version(self):
         data = golden_bytes()
         assert data[:4] == SEGMENT_MAGIC == b"RPSG"
-        assert struct.unpack_from("<I", data, 4)[0] == SEGMENT_VERSION == 2
-        # Version 2 in little-endian: low byte first.
-        assert data[4:8] == b"\x02\x00\x00\x00"
+        assert struct.unpack_from("<I", data, 4)[0] == SEGMENT_VERSION == 3
+        # Version 3 in little-endian: low byte first.
+        assert data[4:8] == b"\x03\x00\x00\x00"
 
     def test_trailer_tail_magic_and_footer_offset(self):
         data = golden_bytes()
@@ -82,13 +84,24 @@ class TestByteLayout:
 
     def test_first_record_layout_inside_first_page(self):
         data = golden_bytes()
-        # Page data starts at offset 8: key u32 LE, value_len u32 LE,
-        # value bytes.  Key 0 has a zero-length value; key 1 follows.
-        key0, len0 = struct.unpack_from("<II", data, 8)
-        assert (key0, len0) == (0, 0)
-        key1, len1 = struct.unpack_from("<II", data, 16)
-        assert (key1, len1) == (1, 1)
-        assert data[24] == 7  # (1*7 + 0) % 256
+        # Page data starts at offset 8: varint key, varint value_len,
+        # value bytes.  Key 0 (stored absolute) has a zero-length value.
+        assert data[8:10] == b"\x00\x00"
+        # Key 1 stores its delta 1 from key 0, then length 1, then the
+        # value (1*7 + 0) % 256.
+        assert data[10:13] == b"\x01\x01\x07"
+        # Key 2: delta 1, length 2, value bytes 14 and 15.
+        assert data[13:17] == b"\x01\x02\x0e\x0f"
+
+    def test_later_page_starts_with_an_absolute_key(self):
+        data = golden_bytes()
+        with Segment(GOLDEN, use_mmap=False) as segment:
+            first_key, _last = segment.keys_in_page(1)
+            offset = segment._directory[1][2]
+        assert first_key > 1
+        # A page decodes on its own: its first key is not a delta.
+        assert data[offset] == first_key
+        assert data[offset + 1] == first_key % 17
 
 
 class TestVersionRefusal:
@@ -101,12 +114,20 @@ class TestVersionRefusal:
         return path
 
     def test_future_version_refused_with_clear_error(self, tmp_path):
-        path = self._patched(tmp_path, 4, struct.pack("<I", 3))
+        path = self._patched(tmp_path, 4, struct.pack("<I", 4))
         with pytest.raises(SegmentFormatError) as excinfo:
             Segment(path)
         message = str(excinfo.value)
-        assert "unsupported segment format version 3" in message
-        assert "this build reads version 2" in message
+        assert "unsupported segment format version 4" in message
+        assert "this build reads version 3" in message
+        assert "rebuild" in message
+
+    def test_v2_fixture_refused_with_rebuild_message(self):
+        # Version 2's fixed u32 record headers are not read any more.
+        with pytest.raises(SegmentFormatError) as excinfo:
+            Segment(GOLDEN_V2)
+        message = str(excinfo.value)
+        assert "unsupported segment format version 2" in message
         assert "rebuild" in message
 
     def test_bad_magic_refused(self, tmp_path):
@@ -130,3 +151,39 @@ class TestVersionRefusal:
         with Segment(path, use_mmap=False) as segment:
             with pytest.raises(ValueError, match="checksum mismatch"):
                 segment.get(1)
+
+
+class TestKeyRange:
+    def test_largest_u32_key_round_trips(self, tmp_path):
+        path = str(tmp_path / "wide.seg")
+        with SegmentWriter(path, page_size=64) as writer:
+            writer.add(0, b"low")
+            writer.add(2**32 - 1, b"high")
+        with Segment(path, use_mmap=False) as segment:
+            assert segment.get(0) == b"low"
+            assert segment.get(2**32 - 1) == b"high"
+
+    def test_key_past_u32_rejected_at_add(self, tmp_path):
+        path = str(tmp_path / "wide.seg")
+        writer = SegmentWriter(path, page_size=64)
+        writer.add(1, b"x")
+        with pytest.raises(ValueError, match="does not fit a u32"):
+            writer.add(2**32, b"y")
+        writer.abort()
+
+
+class TestHeaderOverhead:
+    def test_ak_segment_headers_stay_compact(self, tmp_path):
+        # Pins the varint record headers: fixed ``key u32, value_len
+        # u32`` headers would cost 8 bytes per record here.
+        from repro.datasets.nasa import generate_nasa
+        from repro.storage.spill import build_ak_segment
+
+        graph = generate_nasa(scale=0.05, seed=7)
+        path = str(tmp_path / "a8.seg")
+        report = build_ak_segment(graph, 8, path)
+        with Segment(path, use_mmap=False) as segment:
+            page_bytes = sum(entry[3] for entry in segment._directory)
+            assert segment.num_records == report.records
+        overhead = (page_bytes - report.payload_bytes) / report.records
+        assert overhead <= 3

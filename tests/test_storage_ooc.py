@@ -107,6 +107,16 @@ class TestSpillBuilders:
         assert report.spills > 0
         assert report.digest == inram_hierarchy_digest(small_xmark, 3)
 
+    def test_hierarchy_keys_past_u32_refused_up_front(self, fig1,
+                                                      tmp_path):
+        # Level i's keys start at i * num_nodes: k + 1 levels of this
+        # graph overflow a u32, so the build refuses before any work.
+        k = 2**32 // fig1.num_nodes
+        path = str(tmp_path / "wide.seg")
+        with pytest.raises(ValueError, match="keys must fit a u32"):
+            build_hierarchy_segment(fig1, k, path)
+        assert not (tmp_path / "wide.seg").exists()
+
     def test_segment_queries_match_inram_index(self, small_xmark, tmp_path):
         path = str(tmp_path / "ak.seg")
         build_ak_segment(small_xmark, 3, path, budget_bytes=4096,
@@ -201,6 +211,7 @@ class TestPinning:
     def test_pinned_page_survives_pressure(self, tmp_path):
         with make_segment(str(tmp_path / "s.seg")) as segment:
             pool = BufferPool(segment._file, 1)
+            assert segment.num_pages > 2  # pressure: more pages than pool
             with pool.pinned((0, 0)):
                 for number in range(1, segment.num_pages):
                     pool.page((0, number))
@@ -210,6 +221,7 @@ class TestPinning:
     def test_all_pinned_overshoots_instead_of_evicting(self, tmp_path):
         with make_segment(str(tmp_path / "s.seg")) as segment:
             pool = BufferPool(segment._file, 1)
+            assert segment.num_pages >= 2
             pool.pin((0, 0))
             pool.pin((0, 1))
             assert pool.cached_pages() == 2  # over capacity, both pinned
@@ -227,6 +239,7 @@ class TestPinning:
     def test_nested_pins_need_matching_unpins(self, tmp_path):
         with make_segment(str(tmp_path / "s.seg")) as segment:
             pool = BufferPool(segment._file, 1)
+            assert segment.num_pages > 2
             pool.pin((0, 0))
             pool.pin((0, 0))
             pool.unpin((0, 0))
@@ -241,6 +254,7 @@ class TestPinning:
                           num_keys=256) as segment:
             pool = BufferPool(segment._file, 2)
             pages = segment.num_pages
+            assert pages > 4 * pool.capacity  # pins contend with eviction
             failures = []
 
             def hammer(worker: int) -> None:
@@ -278,6 +292,7 @@ class TestScanAdmission:
         with make_segment(str(tmp_path / "s.seg"),
                           num_keys=512) as segment:
             pool = BufferPool(segment._file, 4, admission="scan")
+            assert segment.num_pages > 4 * pool.capacity  # a real scan
             hot = (0, 0)
             pool.page(hot)
             pool.page(hot)  # second touch promotes out of probation
@@ -290,6 +305,7 @@ class TestScanAdmission:
         with make_segment(str(tmp_path / "s.seg"),
                           num_keys=512) as segment:
             pool = BufferPool(segment._file, 4, admission="lru")
+            assert segment.num_pages > 4 * pool.capacity
             hot = (0, 0)
             pool.page(hot)
             pool.page(hot)
@@ -301,6 +317,7 @@ class TestScanAdmission:
         with make_segment(str(tmp_path / "s.seg"),
                           num_keys=256) as segment:
             pool = BufferPool(segment._file, 2, admission="scan")
+            assert segment.num_pages > 4
             pool.page((0, 1))
             pool.page((0, 2))  # pool now at capacity
             target = (0, 3)
@@ -322,6 +339,7 @@ class TestHoldEpoch:
         with make_segment(str(tmp_path / "s.seg"),
                           num_keys=256) as segment:
             pool = BufferPool(segment._file, 1)
+            assert segment.num_pages >= 5
             with pool.hold_epoch() as held:
                 for number in range(5):
                     pool.page((0, number))
@@ -334,6 +352,7 @@ class TestHoldEpoch:
         with make_segment(str(tmp_path / "s.seg"),
                           num_keys=256) as segment:
             pool = BufferPool(segment._file, 1)
+            assert segment.num_pages >= 6
             serving = ServingEngine(small_xmark)
             serving.attach_page_pool(pool)
             with serving.pin() as snapshot:
@@ -351,6 +370,7 @@ class TestBackgroundPrefetch:
         with make_segment(str(tmp_path / "s.seg"),
                           num_keys=512) as segment:
             pool = BufferPool(segment._file, 64)
+            assert segment.num_pages >= 4
             with BackgroundPrefetcher(pool, depth=2) as prefetcher:
                 pool.page((0, 0))
                 pool.page((0, 1))  # sequential: schedules pages 2 and 3
@@ -367,6 +387,7 @@ class TestBackgroundPrefetch:
         with make_segment(str(tmp_path / "s.seg"),
                           num_keys=512) as segment:
             pool = BufferPool(segment._file, 64)
+            assert segment.num_pages > 11
             with BackgroundPrefetcher(pool, depth=2) as prefetcher:
                 for number in (0, 7, 3, 11, 5):
                     pool.page((0, number))
