@@ -309,12 +309,19 @@ def cmd_ooc(args: argparse.Namespace) -> int:
 
 
 def _print_segment_size(name: str, path: str, payload_bytes: int) -> None:
-    """One ``repro ooc`` line: segment file bytes over extent payload."""
+    """``repro ooc`` lines: segment file bytes over extent payload, and
+    where they sit (pages, footer skeleton, directory and trailer)."""
     import os
+
+    from repro.storage.segment import Segment
 
     size = os.path.getsize(path)
     print(f"ooc: {name}: segment {size} bytes, "
           f"{size / payload_bytes:.3f} bytes per payload byte")
+    with Segment(path, use_mmap=False) as segment:
+        pages, skeleton, directory = segment.size_split()
+    print(f"ooc: {name}: {pages} page bytes, {skeleton} skeleton bytes, "
+          f"{directory} directory/trailer bytes")
 
 
 def _ooc_answers_match(served, ram_index, graph, queries,

@@ -4,7 +4,8 @@ The out-of-core split the paper's Section 6 sketches ("loaded into
 memory selectively and incrementally"): an index's *skeleton* — per
 node its label, child edges, local similarity ``k`` and, in an M*(k)
 hierarchy, its supernode in the previous component, all O(index size)
-— lives in the segment's footer meta and is held in RAM, while the
+— lives in typed columns of the segment's footer
+(:mod:`repro.storage.skeleton`) and is held in RAM, while the
 *extents* — the payload that scales with the document — stay in the
 segment's checksummed pages and are fetched through the buffer pool
 only for the index nodes a query's final frontier reaches.
@@ -39,6 +40,7 @@ from repro.indexes.walk import QueryResult
 from repro.obs import trace as _trace
 from repro.queries.pathexpr import PathExpression
 from repro.storage.segment import Segment
+from repro.storage.skeleton import SkeletonLevel, decode_skeleton
 
 
 def decode_extent(payload: bytes) -> Extent:
@@ -51,12 +53,12 @@ def decode_extent(payload: bytes) -> Extent:
 
 
 class _SkeletonNode:
-    """What the walk reads of one node: its label and similarity."""
+    """What the walk reads of a node: its label and similarity.  Nodes
+    that agree on both share one object."""
 
-    __slots__ = ("nid", "label", "k")
+    __slots__ = ("label", "k")
 
-    def __init__(self, nid: int, label: str, k: int) -> None:
-        self.nid = nid
+    def __init__(self, label: str, k: int) -> None:
         self.label = label
         self.k = k
 
@@ -68,26 +70,28 @@ class SegmentLevel:
     hierarchy keys level ``i`` at ``i * stride``).
     """
 
-    def __init__(self, segment: Segment, labels: list[str], level: dict,
-                 base: int, default_k: int) -> None:
+    def __init__(self, segment: Segment, labels: list[str],
+                 skeleton: SkeletonLevel, base: int) -> None:
         self._segment = segment
         self._base = base
-        count = int(level["num_nodes"])
-        label_of = level["label_of"]
-        self.child_rows: list[list[int]] = level["children"]
-        similarity = level.get("k", default_k)
-        ks = [similarity] * count if isinstance(similarity, int) \
-            else similarity
-        if len(label_of) != count or len(self.child_rows) != count or \
-                len(ks) != count:
-            raise ValueError(f"{segment.path}: skeleton meta is inconsistent")
-        self.nodes = {nid: _SkeletonNode(nid, labels[label_of[nid]], ks[nid])
-                      for nid in range(count)}
-        self.root_nid = int(level["root"])
+        self.child_rows: list[list[int]] = skeleton.child_rows
+        label_of = skeleton.label_of
+        if isinstance(skeleton.k, int):
+            by_label = [_SkeletonNode(label, skeleton.k) for label in labels]
+            shared = map(by_label.__getitem__, label_of)
+        else:
+            pairs = list(zip(label_of, skeleton.k))
+            by_pair = {pair: _SkeletonNode(labels[pair[0]], pair[1])
+                       for pair in set(pairs)}
+            shared = map(by_pair.__getitem__, pairs)
+        self.nodes = dict(enumerate(shared))
+        self.root_nid = skeleton.root
         # The label directory is derived here, not stored.
-        self._by_label: dict[str, set[int]] = {}
-        for nid, node in self.nodes.items():
-            self._by_label.setdefault(node.label, set()).add(nid)
+        nids: dict[int, list[int]] = {label: [] for label in set(label_of)}
+        for nid, label in enumerate(label_of):
+            nids[label].append(nid)
+        self._by_label = {labels[label]: set(members)
+                          for label, members in nids.items()}
         self._parent_rows: list[list[int]] | None = None
 
     @property
@@ -154,27 +158,24 @@ class _SegmentIndex:
             self.k = int(meta["k"])
             self.labels: list[str] = list(meta["labels"])
             stride = int(meta.get("stride", 0))
+            levels = decode_skeleton(self.segment)
             self.components = [
                 SegmentLevel(self.segment, self.labels, level,
-                             number * stride,
-                             self.k if self.KIND == "ak-extents" else number)
-                for number, level in enumerate(meta["levels"])]
+                             number * stride)
+                for number, level in enumerate(levels)]
             self.subnodes = [self._links(number, level)
                              for number, level in
-                             enumerate(meta["levels"][1:], start=1)]
+                             enumerate(levels[1:], start=1)]
         except BaseException:
             self.segment.close()
             raise
         self._optimizer = None
 
-    def _links(self, number: int, level: dict) -> list[list[int]]:
-        supernode = level.get("supernode")
-        if supernode is None:
-            raise ValueError(f"{self.path}: level {number} has no "
-                             f"supernode links; rebuild the segment")
+    def _links(self, number: int,
+               level: SkeletonLevel) -> list[list[int]]:
         links: list[list[int]] = [
             [] for _ in range(self.components[number - 1].num_nodes)]
-        for nid, sup in enumerate(supernode):
+        for nid, sup in enumerate(level.supernode or ()):
             links[sup].append(nid)
         return links
 

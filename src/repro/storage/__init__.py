@@ -14,6 +14,9 @@ query processing."  This subpackage builds that structure:
 * :mod:`repro.storage.segment` — the one on-disk index format, an
   immutable paged segment: sorted key runs + offset footer, bisect/readv
   lookup that touches only the pages a query needs;
+* :mod:`repro.storage.skeleton` — an index segment's skeleton (labels,
+  child rows, similarities, supernode links) as typed footer columns,
+  range-checked when a reader opens it;
 * :mod:`repro.storage.spill` — bounded-RAM spill-path construction
   (external runs under ``REPRO_STORAGE_BUDGET``, merged through
   ``Extent.from_sorted`` into segments) for A(k) and the M*(k)

@@ -18,7 +18,10 @@ byte-for-byte):
     offset 4   version u32          (SEGMENT_VERSION)
     offset 8   pages…               (concatenated record runs)
     F          footer:
-                 meta_len u32, meta bytes (UTF-8 JSON)
+                 meta_len u32, meta bytes (UTF-8 JSON, scalars only)
+                 column_count u32
+                 column_count × (width u8, count u32,
+                                 count × width bytes, unsigned LE)
                  page_count u32
                  page_count × (first_key u32, last_key u32,
                                offset u32, length u32, crc32 u32)
@@ -31,9 +34,15 @@ A record inside a page is ``varint key, varint value_len, value bytes``
 absolute; every later record stores the positive delta from the key
 before it, so pages stay self-contained and a dense run of small
 extents costs two header bytes per record.  Keys are strictly
-ascending across the whole file and fit a ``u32``.  Files of an older
-version (version 2 had fixed ``key u32, value_len u32`` headers) are
-refused on open with a "rebuild" message.  Every page carries a
+ascending across the whole file and fit a ``u32``.
+
+The footer's columns are typed integer arrays (an index segment keeps
+its skeleton there, see :mod:`repro.storage.skeleton`): each is stored
+at the narrowest width of 1, 2 or 4 bytes that holds its largest value
+and decodes with ``array.frombytes``.  Files of an older version
+(version 3 kept the skeleton as JSON lists, version 2 had fixed
+``key u32, value_len u32`` record headers) are refused on open with a
+"rebuild" message.  Every page carries a
 CRC-32 in the footer, verified by :class:`~repro.storage.pager.PageFile`
 on each physical read — a torn write or bit flip surfaces as a
 ``ValueError`` naming the page key, never as wrong bytes.  The trailer
@@ -46,7 +55,9 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 import zlib
+from array import array
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator
 from typing import IO, Any
@@ -55,13 +66,16 @@ from repro.storage.pager import DEFAULT_PAGE_SIZE, BufferPool, PageFile, PageRef
 
 SEGMENT_MAGIC = b"RPSG"
 SEGMENT_TAIL = b"GSPR"
-SEGMENT_VERSION = 3
+SEGMENT_VERSION = 4
 #: Record keys are u32s: every key is below this.
 SEGMENT_KEY_LIMIT = 1 << 32
 _HEADER_SIZE = 8
 _TRAILER_SIZE = 12
 _U32 = struct.Struct("<I")
 _DIR_ENTRY = struct.Struct("<IIIII")
+_COLUMN_HEADER = struct.Struct("<BI")
+#: ``array`` typecode of each footer column width (unsigned ints).
+_COLUMN_TYPES = {1: "B", 2: "H", 4: "I"}
 #: Record headers for the common case: key delta 1, value under 128 bytes.
 _UNIT_HEADERS = [bytes((1, length)) for length in range(0x80)]
 
@@ -78,6 +92,24 @@ def _varint(value: int) -> bytes:
     return bytes(out)
 
 
+def encode_column(values: Iterable[int]) -> bytes:
+    """One footer column: ``width u8, count u32``, then the values as
+    unsigned little-endian ints of the narrowest width (1, 2 or 4
+    bytes) that holds the largest of them."""
+    try:
+        column = array("I", values)
+    except OverflowError as exc:
+        raise ValueError(
+            "footer column values must fit an unsigned 32-bit int") from exc
+    top = max(column, default=0)
+    width = 1 if top < 0x100 else 2 if top < 0x10000 else 4
+    if width != 4:
+        column = array(_COLUMN_TYPES[width], column)
+    if sys.byteorder == "big":
+        column.byteswap()
+    return _COLUMN_HEADER.pack(width, len(column)) + column.tobytes()
+
+
 class SegmentError(ValueError):
     """Base class for segment format/corruption errors."""
 
@@ -90,11 +122,45 @@ class SegmentCorruption(SegmentError):
     """Stored bytes failed a checksum or structural check."""
 
 
+def _decode_columns(footer: bytes, position: int,
+                    path: str) -> tuple[list[array], int]:
+    """The footer columns starting at ``position``, and the offset
+    just past them (the caller has checked that the count fits)."""
+    (count,) = _U32.unpack_from(footer, position)
+    position += 4
+    view = memoryview(footer)
+    columns = []
+    for number in range(count):
+        if position + _COLUMN_HEADER.size > len(footer):
+            raise SegmentCorruption(
+                f"{path}: footer column {number} overruns footer")
+        width, length = _COLUMN_HEADER.unpack_from(footer, position)
+        typecode = _COLUMN_TYPES.get(width)
+        if typecode is None:
+            raise SegmentCorruption(
+                f"{path}: footer column {number} has width {width}; "
+                f"expected 1, 2 or 4")
+        position += _COLUMN_HEADER.size
+        end = position + width * length
+        if end > len(footer):
+            raise SegmentCorruption(
+                f"{path}: footer column {number} overruns footer")
+        column = array(typecode)
+        column.frombytes(view[position:end])
+        if sys.byteorder == "big":
+            column.byteswap()
+        columns.append(column)
+        position = end
+    return columns, position
+
+
 class SegmentWriter:
     """Streams ``(ascending int key, bytes)`` records into a segment.
 
     Keys must be strictly ascending (the reader's bisect and the
     key-delta headers depend on it) and fit a ``u32``.
+    ``columns`` are integer sequences stored in the footer (see
+    :func:`encode_column`) and handed back by ``Segment.columns``.
     ``opener`` is injectable for fault testing; write failures propagate
     to the caller and leave a trailer-less file that
     :meth:`Segment.open` refuses cleanly.
@@ -102,12 +168,14 @@ class SegmentWriter:
 
     def __init__(self, path: str, *, page_size: int = DEFAULT_PAGE_SIZE,
                  meta: dict | None = None,
+                 columns: Iterable[Iterable[int]] = (),
                  opener: "Callable[..., IO[bytes]]" = open) -> None:
         if page_size < 64:
             raise ValueError("page_size must be >= 64 bytes")
         self.path = path
         self.page_size = page_size
         self.meta = dict(meta) if meta else {}
+        self._columns = [encode_column(values) for values in columns]
         self._out = opener(path, "wb")
         self._out.write(SEGMENT_MAGIC)
         self._out.write(_U32.pack(SEGMENT_VERSION))
@@ -173,6 +241,9 @@ class SegmentWriter:
         footer = bytearray()
         footer += _U32.pack(len(meta_bytes))
         footer += meta_bytes
+        footer += _U32.pack(len(self._columns))
+        for column in self._columns:
+            footer += column
         footer += _U32.pack(len(self._directory))
         for entry in self._directory:
             footer += _DIR_ENTRY.pack(*entry)
@@ -280,7 +351,7 @@ class Segment:
         position = 0
         (meta_length,) = _U32.unpack_from(footer, position)
         position += 4
-        if position + meta_length > len(footer):
+        if position + meta_length + 4 > len(footer):
             raise SegmentCorruption(f"{path}: footer meta overruns footer")
         try:
             self.meta = json.loads(
@@ -289,6 +360,10 @@ class Segment:
             raise SegmentCorruption(
                 f"{path}: segment meta is not valid JSON: {exc}") from exc
         position += meta_length
+        self.columns, position = _decode_columns(footer, position, path)
+        self._skeleton_bytes = position
+        if position + 4 > len(footer):
+            raise SegmentCorruption(f"{path}: footer columns overrun footer")
         (page_count,) = _U32.unpack_from(footer, position)
         position += 4
         needed = page_count * _DIR_ENTRY.size + 4
@@ -301,6 +376,7 @@ class Segment:
             self._directory.append(_DIR_ENTRY.unpack_from(footer, position))
             position += _DIR_ENTRY.size
         (self.num_records,) = _U32.unpack_from(footer, position)
+        self._size = size
 
     # ------------------------------------------------------------------
     # Lookup
@@ -308,6 +384,17 @@ class Segment:
     @property
     def num_pages(self) -> int:
         return len(self._directory)
+
+    def size_split(self) -> tuple[int, int, int]:
+        """File bytes as ``(pages, skeleton, directory)``.
+
+        ``skeleton`` is the footer's meta and columns; ``directory`` is
+        the rest: header, page directory, record count and trailer.
+        The three sum to the file size.
+        """
+        pages = sum(entry[3] for entry in self._directory)
+        return (pages, self._skeleton_bytes,
+                self._size - pages - self._skeleton_bytes)
 
     def page_of(self, key: int) -> int | None:
         """Directory bisect: page number that could hold ``key``."""

@@ -20,6 +20,11 @@ from repro.graph.datagraph import DataGraph, EdgeKind
 from repro.indexes.mstarindex import MStarIndex
 from repro.storage.pager import DEFAULT_PAGE_SIZE
 from repro.storage.segment import Segment, SegmentWriter
+from repro.storage.skeleton import (
+    SkeletonLevel,
+    decode_skeleton,
+    encode_skeleton,
+)
 
 GRAPH_MAGIC = b"RPGR"
 FORMAT_VERSION = 1
@@ -133,18 +138,12 @@ def load_graph(path: str) -> DataGraph:
 # ----------------------------------------------------------------------
 # Whole M*(k)-indexes, as ``mstar-hierarchy`` segments
 # ----------------------------------------------------------------------
-def _level_k(values: list[int]) -> int | list[int]:
-    """Per-node similarities, collapsed to one int when they agree."""
-    return values[0] if values and values.count(values[0]) == len(values) \
-        else values
-
-
 def save_mstar(index: MStarIndex, path: str, *,
                page_size: int = DEFAULT_PAGE_SIZE) -> None:
     """Write a (refined) M*(k)-index as an ``mstar-hierarchy`` segment.
 
     The segment kind :func:`~repro.storage.spill.build_hierarchy_segment`
-    writes too: per component a skeleton in the footer meta (labels,
+    writes too: per component a skeleton in the footer columns (labels,
     children, per-node ``k``, supernode links) and one extent record per
     node, keyed ``component * stride + node``.  Node ids are sparse
     after refinement, so each component is renumbered densely in
@@ -160,27 +159,26 @@ def save_mstar(index: MStarIndex, path: str, *,
     orders = [sorted(component.nodes) for component in index.components]
     mappings = [{nid: dense for dense, nid in enumerate(order)}
                 for order in orders]
-    levels = []
+    skeleton = []
     for number, component in enumerate(index.components):
         mapping = mappings[number]
         nodes = [component.nodes[nid] for nid in orders[number]]
-        level: dict = {
-            "num_nodes": len(nodes),
-            "label_of": [label_ids[node.label] for node in nodes],
-            "children": [sorted(mapping[child]
-                                for child in component.children_of(node.nid))
-                         for node in nodes],
-            "k": _level_k([node.k for node in nodes]),
-            "root": mapping[component.root_nid],
-        }
+        level = SkeletonLevel(
+            [label_ids[node.label] for node in nodes],
+            [sorted(mapping[child]
+                    for child in component.children_of(node.nid))
+             for node in nodes],
+            [node.k for node in nodes], mapping[component.root_nid])
         if number:
             above = mappings[number - 1]
             links = index.supernode[number]
-            level["supernode"] = [above[links[node.nid]] for node in nodes]
-        levels.append(level)
+            level.supernode = [above[links[node.nid]] for node in nodes]
+        skeleton.append(level)
+    level_scalars, columns = encode_skeleton(skeleton)
     meta = {"kind": "mstar-hierarchy", "k": index.max_resolution,
-            "stride": stride, "labels": labels, "levels": levels}
-    with SegmentWriter(path, page_size=page_size, meta=meta) as writer:
+            "stride": stride, "labels": labels, "levels": level_scalars}
+    with SegmentWriter(path, page_size=page_size, meta=meta,
+                       columns=columns) as writer:
         for number, component in enumerate(index.components):
             base = number * stride
             for dense, nid in enumerate(orders[number]):
@@ -210,19 +208,17 @@ def load_mstar(path: str, graph: DataGraph) -> MStarIndex:
                 f"{path} was built over a {stride}-node graph, not this "
                 f"{graph.num_nodes}-node one")
         labels = meta["labels"]
-        levels = meta["levels"]
+        levels = decode_skeleton(segment)
+        similarities = [level.node_k() for level in levels]
         components = [IndexGraph(graph) for _ in levels]
         for key, payload in segment.iter_all():
             number, nid = divmod(key, stride)
-            level = levels[number]
-            label = labels[level["label_of"][nid]]
-            similarity = level.get("k", number)
+            label = labels[levels[number].label_of[nid]]
             extent = decode_extent(payload)
             if any(graph.labels[oid] != label for oid in extent):
                 raise ValueError("index file does not match this data graph")
             created = components[number]._add_node(
-                extent, similarity if isinstance(similarity, int)
-                else similarity[nid], label=label)
+                extent, similarities[number][nid], label=label)
             if created != nid:
                 raise ValueError(f"{path}: missing extent records in "
                                  f"component {number}")
@@ -237,7 +233,7 @@ def load_mstar(path: str, graph: DataGraph) -> MStarIndex:
         component._assert_covering()
         component._rebuild_edges()
         if number:
-            supernode = dict(enumerate(levels[number]["supernode"]))
+            supernode = dict(enumerate(levels[number].supernode or ()))
             subnodes: dict[int, set[int]] = {
                 nid: set() for nid in components[number - 1].nodes}
             for nid, sup in supernode.items():

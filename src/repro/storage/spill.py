@@ -38,6 +38,7 @@ from repro.indexes.partition import kbisimulation_blocks, kbisimulation_levels
 from repro.obs import trace as _trace
 from repro.storage.pager import DEFAULT_PAGE_SIZE
 from repro.storage.segment import SEGMENT_KEY_LIMIT, SegmentWriter
+from repro.storage.skeleton import SkeletonLevel, encode_skeleton
 
 if TYPE_CHECKING:
     from repro.graph.datagraph import DataGraph
@@ -261,11 +262,11 @@ def _pack_oids(values: array) -> bytes:
     return struct.pack(f"<{len(values)}I", *values)
 
 
-def _block_meta(graph: "DataGraph", blocks: list[int],
-                dense_of: dict[int, int], label_ids: dict[str, int],
-                k: int, above: list[int] | None = None,
-                ) -> tuple[dict, list[int]]:
-    """Skeleton meta for one partition level, and its oid -> node map.
+def _block_skeleton(graph: "DataGraph", blocks: list[int],
+                    dense_of: dict[int, int], label_ids: dict[str, int],
+                    k: int, above: list[int] | None = None,
+                    ) -> tuple[SkeletonLevel, list[int]]:
+    """Skeleton of one partition level, and its oid -> node map.
 
     Per node: label, child edges, and — when ``above`` (the coarser
     level's oid -> node map) is given — its supernode there; every node
@@ -287,18 +288,13 @@ def _block_meta(graph: "DataGraph", blocks: list[int],
         row = rows[oid]
         for child in row:
             children[up].add(node_of[child])
-    meta = {
-        "num_nodes": num_blocks,
-        "label_of": label_of,
-        "children": [sorted(kids) for kids in children],
-        "k": k,
-        "root": node_of[graph.root],
-    }
+    level = SkeletonLevel(label_of, [sorted(kids) for kids in children], k,
+                          node_of[graph.root])
     if above is not None:
         # Every oid of a block shares one coarser block: any pair does.
         links = dict(zip(node_of, above))
-        meta["supernode"] = [links[nid] for nid in range(num_blocks)]
-    return meta, node_of
+        level.supernode = [links[nid] for nid in range(num_blocks)]
+    return level, node_of
 
 
 def build_ak_segment(graph: "DataGraph", k: int, path: str, *,
@@ -322,14 +318,11 @@ def build_ak_segment(graph: "DataGraph", k: int, path: str, *,
                 for dense, block in enumerate(sorted(set(blocks)))}
     label_ids = {label: position
                  for position, label in enumerate(sorted(graph.alphabet()))}
-    meta = {
-        "kind": "ak-extents",
-        "k": k,
-        "labels": sorted(graph.alphabet()),
-        "levels": [_block_meta(graph, blocks, dense_of, label_ids, k)[0]],
-    }
+    meta = {"kind": "ak-extents", "k": k, "labels": sorted(graph.alphabet())}
+    skeleton = [_block_skeleton(graph, blocks, dense_of, label_ids, k)[0]]
     report = OocBuildReport(path=path, kind=f"A({k})")
-    _write_extent_segment(report, [(blocks, dense_of, 0)], meta, path,
+    _write_extent_segment(report, [(blocks, dense_of, 0)], meta, skeleton,
+                          path,
                           budget_bytes=budget_bytes, page_size=page_size,
                           tmpdir=tmpdir, opener=opener)
     report.seconds = time.perf_counter() - started
@@ -363,7 +356,7 @@ def build_hierarchy_segment(graph: "DataGraph", k: int, path: str, *,
     started = time.perf_counter()
     levels = kbisimulation_levels(graph, k)
     level_specs = []
-    level_metas = []
+    skeleton = []
     label_ids = {label: position
                  for position, label in enumerate(sorted(graph.alphabet()))}
     above: list[int] | None = None
@@ -371,41 +364,43 @@ def build_hierarchy_segment(graph: "DataGraph", k: int, path: str, *,
         dense_of = {block: dense
                     for dense, block in enumerate(sorted(set(blocks)))}
         level_specs.append((blocks, dense_of, level))
-        level_meta, above = _block_meta(graph, blocks, dense_of, label_ids,
-                                        level, above)
-        level_metas.append(level_meta)
+        level_skeleton, above = _block_skeleton(
+            graph, blocks, dense_of, label_ids, level, above)
+        skeleton.append(level_skeleton)
     meta = {
         "kind": "mstar-hierarchy",
         "k": k,
         "stride": graph.num_nodes,
         "labels": sorted(graph.alphabet()),
-        "levels": level_metas,
     }
     report = OocBuildReport(path=path, kind=f"M*({k})")
-    _write_extent_segment(report, level_specs, meta, path,
+    _write_extent_segment(report, level_specs, meta, skeleton, path,
                           budget_bytes=budget_bytes, page_size=page_size,
                           tmpdir=tmpdir, opener=opener)
     report.seconds = time.perf_counter() - started
     report.meta = {"k": k,
-                   "blocks_per_level": [m["num_nodes"] for m in level_metas]}
+                   "blocks_per_level": [level.num_nodes
+                                        for level in skeleton]}
     return report
 
 
 def _write_extent_segment(
         report: OocBuildReport,
         level_specs: "list[tuple[list[int], dict[int, int], int]]",
-        meta: dict, path: str, *, budget_bytes: int | None,
-        page_size: int, tmpdir: str | None,
+        meta: dict, skeleton: list[SkeletonLevel], path: str, *,
+        budget_bytes: int | None, page_size: int, tmpdir: str | None,
         opener: "Callable[..., IO[bytes]]") -> None:
     stride = meta.get("stride", 0)
+    level_scalars, columns = encode_skeleton(skeleton)
     digest = hashlib.sha256()
     with SpillSorter(budget_bytes, tmpdir=tmpdir) as sorter:
         for blocks, dense_of, level in level_specs:
             base = level * stride
             for oid, block in enumerate(blocks):
                 sorter.add(base + dense_of[block], oid)
-        writer = SegmentWriter(path, page_size=page_size, meta=meta,
-                               opener=opener)
+        writer = SegmentWriter(path, page_size=page_size,
+                               meta={**meta, "levels": level_scalars},
+                               columns=columns, opener=opener)
         try:
             max_group = 0
             for key, oids in _grouped(sorter.merge()):

@@ -1,5 +1,7 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -97,6 +99,14 @@ class TestOoc:
         for name in ("A(2)", "M*(2)"):
             assert f"ooc: {name}: segment " in out
         assert out.count("bytes per payload byte") == 2
+        for name in ("A(2)", "M*(2)"):
+            split = re.search(
+                rf"ooc: {re.escape(name)}: (\d+) page bytes, (\d+) "
+                rf"skeleton bytes, (\d+) directory/trailer bytes", out)
+            size = re.search(rf"ooc: {re.escape(name)}: segment (\d+) bytes",
+                             out)
+            assert split and size
+            assert sum(map(int, split.groups())) == int(size.group(1))
 
 
 class TestReport:

@@ -12,6 +12,12 @@ counters: a cold point lookup performs **at most one** physical page
 read (the page directory bisect happens in RAM — stronger than the
 O(log n) pages a disk-resident B-tree descent would need), and a cold
 sorted multi-get reads each touched page exactly once.
+
+The index skeleton an index segment keeps in its footer columns has
+the same kind of reference: the levels that were encoded.  Random
+levels round-trip through encode, write, open and decode unchanged,
+and a refined M*(k) written with ``save_mstar`` answers and charges
+like the in-RAM index it came from.
 """
 
 import os
@@ -22,6 +28,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage.segment import Segment, SegmentWriter
+from repro.storage.skeleton import (
+    SkeletonLevel,
+    decode_skeleton,
+    encode_skeleton,
+)
 
 
 #: Oid counts per value: mostly small extents, sometimes one longer
@@ -162,3 +173,88 @@ class TestReadAmplification:
                     assert segment.get(key) == reference[key]
                 assert segment.pool.reads == reads_cold
                 assert segment.pool.hits >= len(reference)
+
+
+#: Per-node similarities: 1-, 2- and 4-byte values.
+_SIMILARITIES = [0, 1, 7, 300, 70000, 2**32 - 1]
+
+
+@st.composite
+def skeleton_cases(draw):
+    """Random skeleton levels: empty and full rows, ids needing 1 or 2
+    bytes (and ``k`` up to 4), scalar or per-node ``k``; one level has
+    no supernodes, later ones link to the level before."""
+    rng = draw(st.randoms(use_true_random=False))
+    labels = [f"l{number}" for number in
+              range(draw(st.sampled_from([1, 5, 260])))]
+    levels = []
+    for number in range(draw(st.integers(min_value=1, max_value=3))):
+        count = draw(st.sampled_from([1, 2, 7, 300]))
+        rows = [sorted(rng.sample(range(count),
+                                  min(count, rng.choice([0, 0, 1, 3]))))
+                for _ in range(count)]
+        if draw(st.booleans()):
+            k = draw(st.sampled_from(_SIMILARITIES))
+        else:
+            k = [rng.choice(_SIMILARITIES) for _ in range(count)]
+        supernode = [rng.randrange(levels[-1].num_nodes)
+                     for _ in range(count)] if number else None
+        levels.append(SkeletonLevel(
+            [rng.randrange(len(labels)) for _ in range(count)], rows, k,
+            rng.randrange(count), supernode))
+    return labels, levels
+
+
+class TestSkeletonRoundTrip:
+    @given(skeleton_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_levels_survive_write_and_open(self, case):
+        labels, levels = case
+        scalars, columns = encode_skeleton(levels)
+        with tempfile.TemporaryDirectory(prefix="repro-prop-") as tmp:
+            path = os.path.join(tmp, "skeleton.seg")
+            with SegmentWriter(path, page_size=64,
+                               meta={"labels": labels, "levels": scalars},
+                               columns=columns) as writer:
+                writer.add(0, b"extent")
+            with Segment(path, use_mmap=False) as segment:
+                decoded = decode_skeleton(segment)
+        assert len(decoded) == len(levels)
+        for written, read in zip(levels, decoded):
+            assert read.label_of == written.label_of
+            assert read.child_rows == written.child_rows
+            assert read.node_k() == written.node_k()
+            assert read.root == written.root
+            assert read.supernode == written.supernode
+
+    def test_refined_mstar_answers_and_charges_like_ram(self, tmp_path):
+        from repro.cost.counters import CostCounter
+        from repro.datasets.xmark import generate_xmark
+        from repro.indexes.mstarindex import MStarIndex
+        from repro.indexes.segmented import SegmentMStarIndex
+        from repro.queries.workload import Workload
+        from repro.storage.serialization import load_mstar, save_mstar
+
+        graph = generate_xmark(scale=0.01, seed=7)
+        workload = Workload.generate(graph, num_queries=40, max_length=6,
+                                     seed=61)
+        index = MStarIndex(graph)
+        for expr in workload:
+            index.refine(expr, index.query(expr))
+        # Refinement leaves nodes of mixed similarity: the per-node k
+        # column is exercised.
+        assert any(len({node.k for node in component.nodes.values()}) > 1
+                   for component in index.components)
+        path = str(tmp_path / "refined.seg")
+        save_mstar(index, path, page_size=512)
+        loaded = load_mstar(path, graph)
+        with SegmentMStarIndex(path, graph) as served:
+            for expr in workload:
+                costs = [CostCounter() for _ in range(3)]
+                answers = [candidate.query(expr, cost).answers
+                           for candidate, cost in
+                           zip((index, loaded, served), costs)]
+                assert answers[1] == answers[0]
+                assert answers[2] == answers[0]
+                assert costs[1] == costs[0]
+                assert costs[2] == costs[0]

@@ -19,14 +19,17 @@ import struct
 
 import pytest
 
+from repro.indexes.segmented import SegmentAkIndex, SegmentMStarIndex
 from repro.storage.pager import BufferPool, PageFile
 from repro.storage.segment import (
     Segment,
+    SegmentCorruption,
     SegmentError,
     SegmentFormatError,
     SegmentWriter,
 )
-from repro.storage.spill import build_ak_segment
+from repro.storage.serialization import load_mstar
+from repro.storage.spill import build_ak_segment, build_hierarchy_segment
 
 
 class FaultyFile:
@@ -317,3 +320,109 @@ class TestLegacyPageFileFaults:
                 pool.page((0, 0))
             assert pool.misses == 1
             assert not pool.resident((0, 0))
+
+
+class TestSkeletonFaults:
+    """CRC-valid skeleton columns that no writer produces are refused.
+
+    Each case rewrites one footer column of a real segment (the footer
+    CRC is recomputed, so only the decoder's range and count checks can
+    catch it); every reader must raise ``SegmentCorruption`` at open,
+    naming the file and the level, never an ``IndexError`` or a wrong
+    label later.
+    """
+
+    #: Footer column order within a level (spill builders store a
+    #: scalar ``k``, so no per-node ``k`` column follows).
+    COLUMNS = ("label_of", "lengths", "children", "supernode")
+
+    @staticmethod
+    def _rewrite(source, target, level, column, edit):
+        with Segment(source, use_mmap=False) as segment:
+            meta = segment.meta
+            columns = [values.tolist() for values in segment.columns]
+            records = list(segment.iter_all())
+        position = sum(3 + (number > 0) for number in range(level)) + \
+            TestSkeletonFaults.COLUMNS.index(column)
+        edit(meta, level, columns[position])
+        with SegmentWriter(target, page_size=256, meta=meta,
+                           columns=columns) as writer:
+            for key, value in records:
+                writer.add(key, value)
+        return target
+
+    @staticmethod
+    def _label_past_table(meta, _level, values):
+        values[0] = len(meta["labels"])
+
+    @staticmethod
+    def _child_past_level(meta, level, values):
+        values[-1] = meta["levels"][level]["num_nodes"]
+
+    @staticmethod
+    def _supernode_past_level(meta, level, values):
+        values[0] = meta["levels"][level - 1]["num_nodes"]
+
+    @staticmethod
+    def _short_column(_meta, _level, values):
+        values.pop()
+
+    DEFECTS = [
+        pytest.param("label_of", _label_past_table,
+                     r"label id \d+ is out of range", id="label-id"),
+        pytest.param("children", _child_past_level,
+                     r"child id \d+ is out of range", id="child-id"),
+        pytest.param("supernode", _supernode_past_level,
+                     r"supernode \d+ is out of range", id="supernode"),
+        pytest.param("label_of", _short_column,
+                     r"the label id column holds \d+ values, not \d+",
+                     id="column-count"),
+    ]
+
+    @pytest.mark.parametrize("column, edit, reason", DEFECTS)
+    def test_hierarchy_defect_refused_by_both_readers(
+            self, fig1, tmp_path, column, edit, reason):
+        source = str(tmp_path / "good.seg")
+        build_hierarchy_segment(fig1, 2, source)
+        path = self._rewrite(source, str(tmp_path / "bad.seg"), 1,
+                             column, edit)
+        pattern = rf"bad\.seg: skeleton level 1: {reason}"
+        with pytest.raises(SegmentCorruption, match=pattern):
+            SegmentMStarIndex(path, fig1)
+        with pytest.raises(SegmentCorruption, match=pattern):
+            load_mstar(path, fig1)
+
+    @pytest.mark.parametrize("column, edit, reason",
+                             [case for case in DEFECTS
+                              if case.id != "supernode"])
+    def test_ak_defect_refused(self, fig1, tmp_path, column, edit, reason):
+        source = str(tmp_path / "good.seg")
+        build_ak_segment(fig1, 2, source)
+        path = self._rewrite(source, str(tmp_path / "bad.seg"), 0,
+                             column, edit)
+        with pytest.raises(SegmentCorruption,
+                           match=rf"bad\.seg: skeleton level 0: {reason}"):
+            SegmentAkIndex(path, fig1)
+
+    def test_root_past_level_refused(self, fig1, tmp_path):
+        def edit(meta, level, _values):
+            meta["levels"][level]["root"] = \
+                meta["levels"][level]["num_nodes"]
+
+        source = str(tmp_path / "good.seg")
+        build_ak_segment(fig1, 2, source)
+        path = self._rewrite(source, str(tmp_path / "bad.seg"), 0,
+                             "label_of", edit)
+        with pytest.raises(SegmentCorruption,
+                           match=r"skeleton level 0: root \d+ is not one"):
+            SegmentAkIndex(path, fig1)
+
+    def test_unchanged_rewrite_opens(self, fig1, tmp_path):
+        # Control: the same rewrite with no edit is accepted.
+        source = str(tmp_path / "good.seg")
+        build_hierarchy_segment(fig1, 2, source)
+        path = self._rewrite(source, str(tmp_path / "same.seg"), 1,
+                             "label_of", lambda *_args: None)
+        with SegmentMStarIndex(path, fig1) as served:
+            assert served.max_resolution == 2
+        assert len(load_mstar(path, fig1).components) == 3

@@ -9,8 +9,10 @@ old readers with a clear message, never misparse.
 """
 
 import hashlib
+import json
 import os
 import struct
+import zlib
 
 import pytest
 
@@ -22,15 +24,31 @@ from repro.storage.segment import (
     SegmentCorruption,
     SegmentFormatError,
     SegmentWriter,
+    encode_column,
+)
+from repro.storage.skeleton import (
+    SkeletonLevel,
+    decode_skeleton,
+    encode_skeleton,
 )
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "fixtures", "storage")
-GOLDEN = os.path.join(FIXTURES, "golden_v3.seg")
+GOLDEN = os.path.join(FIXTURES, "golden_v4.seg")
 GOLDEN_SHA256 = \
-    "3d976f0fdd27fe3f7807279e64899086d498a245bff3100e5f0b473245f45006"
-GOLDEN_META = {"format": "segment-v3", "kind": "golden"}
-#: The previous format's fixture, kept to prove it is refused.
+    "14426b90f471958f27ceaaf809282475da9bd2b4ef954c76027663c94a5bedd1"
+#: A tiny two-level skeleton: level 1 splits level 0's "b" node in two,
+#: with a per-node ``k`` that needs a 2-byte column.
+GOLDEN_SKELETON = [
+    SkeletonLevel([0, 1, 2], [[1, 2], [], []], 0, 0),
+    SkeletonLevel([0, 1, 1, 2], [[1, 2, 3], [], [3], []], [1, 1, 2, 300], 0,
+                  [0, 1, 1, 2]),
+]
+GOLDEN_LEVELS, GOLDEN_COLUMNS = encode_skeleton(GOLDEN_SKELETON)
+GOLDEN_META = {"format": "segment-v4", "kind": "golden",
+               "labels": ["a", "b", "c"], "levels": GOLDEN_LEVELS}
+#: Earlier formats' fixtures, kept to prove they are refused.
+GOLDEN_V3 = os.path.join(FIXTURES, "golden_v3.seg")
 GOLDEN_V2 = os.path.join(FIXTURES, "golden_v2.seg")
 
 
@@ -50,7 +68,8 @@ class TestGoldenFixture:
 
     def test_rebuild_is_byte_identical(self, tmp_path):
         path = str(tmp_path / "rebuilt.seg")
-        with SegmentWriter(path, page_size=128, meta=GOLDEN_META) as writer:
+        with SegmentWriter(path, page_size=128, meta=GOLDEN_META,
+                           columns=GOLDEN_COLUMNS) as writer:
             for key, value in golden_records():
                 writer.add(key, value)
         with open(path, "rb") as handle:
@@ -64,21 +83,24 @@ class TestGoldenFixture:
             for key, value in golden_records():
                 assert segment.get(key) == value
 
+    def test_fixture_skeleton_decodes(self):
+        with Segment(GOLDEN, use_mmap=False) as segment:
+            assert decode_skeleton(segment) == GOLDEN_SKELETON
+
 
 class TestByteLayout:
     def test_header_magic_and_little_endian_version(self):
         data = golden_bytes()
         assert data[:4] == SEGMENT_MAGIC == b"RPSG"
-        assert struct.unpack_from("<I", data, 4)[0] == SEGMENT_VERSION == 3
-        # Version 3 in little-endian: low byte first.
-        assert data[4:8] == b"\x03\x00\x00\x00"
+        assert struct.unpack_from("<I", data, 4)[0] == SEGMENT_VERSION == 4
+        # Version 4 in little-endian: low byte first.
+        assert data[4:8] == b"\x04\x00\x00\x00"
 
     def test_trailer_tail_magic_and_footer_offset(self):
         data = golden_bytes()
         assert data[-4:] == SEGMENT_TAIL == b"GSPR"
         footer_offset, footer_crc = struct.unpack_from("<II", data, len(data) - 12)
         assert 8 <= footer_offset < len(data) - 12
-        import zlib
         footer = data[footer_offset:len(data) - 12]
         assert zlib.crc32(footer) == footer_crc
 
@@ -104,6 +126,32 @@ class TestByteLayout:
         assert data[offset + 1] == first_key % 17
 
 
+    def test_skeleton_columns_follow_the_meta(self):
+        data = golden_bytes()
+        footer_offset = struct.unpack_from("<I", data, len(data) - 12)[0]
+        (meta_length,) = struct.unpack_from("<I", data, footer_offset)
+        position = footer_offset + 4 + meta_length
+        # Level 0: labels, row lengths, child ids (scalar k); level 1
+        # adds supernodes and a per-node k.
+        assert struct.unpack_from("<I", data, position)[0] == 8
+        # Each column: width u8, count u32, count x width bytes LE.
+        # Level 0's label ids 0, 1, 2 fit one byte each.
+        assert data[position + 4:position + 12] == \
+            b"\x01\x03\x00\x00\x00\x00\x01\x02"
+
+    def test_wide_column_is_little_endian(self):
+        data = golden_bytes()
+        # Level 1's k column [1, 1, 2, 300] needs two bytes per value;
+        # it is the last column, right before the page directory.
+        column = b"\x02\x04\x00\x00\x00" + struct.pack("<4H", 1, 1, 2, 300)
+        assert column.endswith(b"\x2c\x01")
+        with Segment(GOLDEN, use_mmap=False) as segment:
+            page_count = segment.num_pages
+        directory = 4 + page_count * 20 + 4
+        end = len(data) - 12 - directory
+        assert data[end - len(column):end] == column
+
+
 class TestVersionRefusal:
     def _patched(self, tmp_path, offset, new_bytes, name="patched.seg"):
         data = bytearray(golden_bytes())
@@ -114,12 +162,21 @@ class TestVersionRefusal:
         return path
 
     def test_future_version_refused_with_clear_error(self, tmp_path):
-        path = self._patched(tmp_path, 4, struct.pack("<I", 4))
+        path = self._patched(tmp_path, 4, struct.pack("<I", 5))
         with pytest.raises(SegmentFormatError) as excinfo:
             Segment(path)
         message = str(excinfo.value)
-        assert "unsupported segment format version 4" in message
-        assert "this build reads version 3" in message
+        assert "unsupported segment format version 5" in message
+        assert "this build reads version 4" in message
+        assert "rebuild" in message
+
+    def test_v3_fixture_refused_with_rebuild_message(self):
+        # Version 3 kept the skeleton as JSON lists; it is not read any
+        # more.
+        with pytest.raises(SegmentFormatError) as excinfo:
+            Segment(GOLDEN_V3)
+        message = str(excinfo.value)
+        assert "unsupported segment format version 3" in message
         assert "rebuild" in message
 
     def test_v2_fixture_refused_with_rebuild_message(self):
@@ -187,3 +244,56 @@ class TestHeaderOverhead:
             assert segment.num_records == report.records
         overhead = (page_bytes - report.payload_bytes) / report.records
         assert overhead <= 3
+
+
+class TestColumnWidths:
+    @pytest.mark.parametrize("values, width", [
+        ([], 1), ([0, 255], 1), ([256], 2), ([65535], 2), ([65536], 4),
+        ([2**32 - 1], 4)])
+    def test_narrowest_width_that_holds_the_maximum(self, values, width):
+        encoded = encode_column(values)
+        assert struct.unpack_from("<BI", encoded) == (width, len(values))
+        assert len(encoded) == 5 + width * len(values)
+
+    @pytest.mark.parametrize("value", [-1, 2**32])
+    def test_values_past_u32_rejected(self, value):
+        with pytest.raises(ValueError, match="unsigned 32-bit"):
+            encode_column([1, value])
+
+
+class TestSkeletonOverhead:
+    @pytest.mark.parametrize("build", ["ak", "hierarchy"])
+    def test_skeleton_stays_binary(self, tmp_path, build):
+        # Pins the typed skeleton columns: the same skeleton as JSON
+        # lists costs about 5 bytes per node and edge.
+        from repro.datasets.nasa import generate_nasa
+        from repro.storage.spill import (
+            build_ak_segment,
+            build_hierarchy_segment,
+        )
+
+        graph = generate_nasa(scale=0.05, seed=7)
+        path = str(tmp_path / f"{build}.seg")
+        builder = build_ak_segment if build == "ak" \
+            else build_hierarchy_segment
+        builder(graph, 8, path)
+        with Segment(path, use_mmap=False) as segment:
+            _pages, skeleton_bytes, _directory = segment.size_split()
+            levels = decode_skeleton(segment)
+        if build == "hierarchy":
+            assert len(levels) == 9
+        items = sum(level.num_nodes + sum(map(len, level.child_rows))
+                    for level in levels)
+        assert skeleton_bytes / items <= 3
+
+    def test_size_split_sums_to_the_file(self):
+        with Segment(GOLDEN, use_mmap=False) as segment:
+            pages, skeleton, directory = segment.size_split()
+        assert pages + skeleton + directory == len(golden_bytes())
+        meta_bytes = len(json.dumps(GOLDEN_META, sort_keys=True,
+                                    separators=(",", ":")))
+        column_bytes = sum(len(encode_column(values))
+                           for values in GOLDEN_COLUMNS)
+        assert skeleton == 4 + meta_bytes + 4 + column_bytes
+        # Header, page count, directory, record count, trailer.
+        assert directory == 8 + 4 + 20 * segment.num_pages + 4 + 12
