@@ -8,8 +8,9 @@ spill.  Each row asserts, before it reports anything:
 
 * **digest equality** — the segment's canonical extent digest matches
   the in-RAM builder's, record for record;
-* **bounded peak** — the tracked data-plane working set (pair buffer +
-  merge chunks + largest extent + open page) stays under 1.5x budget;
+* **bounded peak** — the tracked data-plane working set (pair buffer;
+  then merge chunks and batch + largest extent + open page) stays
+  under 1.5x budget;
 * **real spills** — at least one run hit disk (a build that fit in RAM
   proves nothing about the spill path).
 

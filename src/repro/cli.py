@@ -288,8 +288,13 @@ def cmd_ooc(args: argparse.Namespace) -> int:
                                        page_size=args.page_size)
         matched = hier.digest == inram_hierarchy_digest(graph, args.k)
         print(f"ooc: M*({args.k}) hierarchy: {hier.records} extents over "
-              f"{args.k + 1} levels ({hier.spills} spills, peak "
-              f"{hier.peak_ratio:.2f}x budget), digest "
+              f"{args.k + 1} levels, {hier.pairs} pairs through "
+              f"{hier.runs} runs ({hier.spills} spills), payload "
+              f"{hier.payload_bytes} bytes ({hier.dataset_ratio:.2f}x "
+              f"budget)")
+        print(f"ooc: M*({args.k}) hierarchy: peak tracked working set "
+              f"{hier.peak_tracked_bytes} bytes ({hier.peak_ratio:.2f}x "
+              f"budget) in {hier.seconds:.3f}s, digest "
               f"{'matches' if matched else 'DIVERGES'}")
         _print_segment_size(f"M*({args.k})", hier_path, hier.payload_bytes)
         if not matched:

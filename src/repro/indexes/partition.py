@@ -27,16 +27,18 @@ Three implementations live here:
   particular — near-free.
 * :class:`_VectorRefiner` — the vectorized path the ``kbisimulation_*``
   entry points prefer when numpy is importable (disable with
-  ``REPRO_PARTITION_NUMPY=0``).  It is built on the compact data plane:
-  interned label ids *are* the dense level-0 assignment, and the frozen
-  CSR arrays (or a one-time flattening of the mutable rows) let a whole
-  round run as array kernels — gather parent blocks, dedup ``(node,
-  parent-block)`` pairs with one ``np.unique``, group padded signature
-  rows with another.  Partition equality per round is invariant under
-  block renumbering, so the vectorized chain splits exactly the groups
-  the reference chain splits; the entry points canonicalise the final
-  assignment with :func:`canonical_blocks`, making the returned lists
-  byte-identical to the reference's.  Nodes with more distinct adjacent
+  ``REPRO_PARTITION_NUMPY=0``; numpy is imported on the first
+  vectorized refinement, not when this module loads).  It is built on
+  the compact data plane: interned label ids *are* the dense level-0
+  assignment, and the frozen CSR arrays (or a one-time flattening of
+  the mutable rows) let a whole round run as array kernels — gather
+  parent blocks, dedup ``(node, parent-block)`` pairs with one
+  ``np.unique``, group padded signature rows with another.  Partition
+  equality per round is invariant under block renumbering, so the
+  vectorized chain splits exactly the groups the reference chain
+  splits; the entry points canonicalise the final assignment with
+  :func:`canonical_blocks`, making the returned lists byte-identical
+  to the reference's.  Nodes with more distinct adjacent
   blocks than ``_VectorRefiner.MAX_WIDTH`` would need an unboundedly
   wide signature matrix, so such graphs fall back to the worklist path.
 
@@ -55,11 +57,6 @@ from repro.graph.compact import CompactAdjacency
 from repro.graph.datagraph import DataGraph
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-
-try:  # optional vectorized backend; every entry point works without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - container always ships numpy
-    _np = None  # type: ignore[assignment]
 
 #: Environment flag: set to ``0`` to force the stdlib worklist refiner.
 _VECTOR_ENV = "REPRO_PARTITION_NUMPY"
@@ -121,10 +118,19 @@ def canonical_blocks(blocks: list[int]) -> list[int]:
 
 
 def _vector_backend():
-    """The numpy module when the vectorized refiner may run, else None."""
-    if _np is None or os.environ.get(_VECTOR_ENV, "1") == "0":
+    """The numpy module when the vectorized refiner may run, else None.
+
+    numpy is imported here, on the first vectorized refinement, rather
+    than at module load: a process that never runs one (``repro serve``
+    starts M*(k) from :func:`label_blocks`) never loads it.
+    """
+    if os.environ.get(_VECTOR_ENV, "1") == "0":
         return None
-    return _np
+    try:  # optional backend; every entry point works without it
+        import numpy
+    except ImportError:  # pragma: no cover - container always ships numpy
+        return None
+    return numpy
 
 
 # Construction-time refinement (array kernels); work is reported through

@@ -18,9 +18,9 @@ query processing."  This subpackage builds that structure:
   child rows, similarities, supernode links) as typed footer columns,
   range-checked when a reader opens it;
 * :mod:`repro.storage.spill` — bounded-RAM spill-path construction
-  (external runs under ``REPRO_STORAGE_BUDGET``, merged through
-  ``Extent.from_sorted`` into segments) for A(k) and the M*(k)
-  resolution hierarchy, plus paged CSR adjacency;
+  (external runs under ``REPRO_STORAGE_BUDGET``, merged chunk by chunk
+  into segments) for A(k) and the M*(k) resolution hierarchy, plus
+  paged CSR adjacency;
 * :mod:`repro.storage.prefetch` — trace-driven background prefetch for
   sequential page runs.
 

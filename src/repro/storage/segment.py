@@ -230,7 +230,13 @@ class SegmentWriter:
         self._current_size = 0
 
     def finish(self) -> int:
-        """Flush, write footer + trailer, fsync, close; returns file size."""
+        """Flush, write footer + trailer, close; returns file size.
+
+        There is no fsync: the file reaches the OS, not necessarily the
+        disk.  Surviving a crash is left to a write-ahead log (ROADMAP
+        item 5); a file cut short by one is refused at open for its
+        missing trailer.
+        """
         if self._finished:
             raise ValueError("segment already finished")
         if self._current:

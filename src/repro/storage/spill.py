@@ -3,37 +3,45 @@
 Partition refinement assigns every data node a block id; materialising
 the extents of a large graph all at once is exactly the in-RAM comfort
 zone ROADMAP item 3 retires.  :class:`SpillSorter` accumulates
-``(block, oid)`` pairs under a byte budget (``REPRO_STORAGE_BUDGET``),
-spilling sorted struct-packed runs to disk whenever the buffer would
-exceed it, and merges the runs back (``heapq.merge`` over bounded-chunk
-readers) into one globally sorted stream — which the builders group by
-block, pack through ``Extent.from_sorted`` (the merge output is already
-sorted and deduplicated), and write into an immutable
+``(block, oid)`` u32 pairs under a byte budget (``REPRO_STORAGE_BUDGET``),
+each held as one composite u64 int ``key << 32 | value`` so that
+ordering the ints orders the pairs.  The builders feed it one whole
+level at a time (:meth:`SpillSorter.extend` over the oid -> node map
+the skeleton pass already built).  Whenever the buffer reaches the
+budget it is sorted and written to disk as a raw ``array('Q')`` run.
+The merge is chunked rather than per pair: every source (each run, read
+back a bounded chunk at a time, and the sorted in-memory tail) gives up
+its prefix up to the smallest chunk tail among them (``bisect_right``),
+and the prefixes are concatenated and ``list.sort()``-ed into one batch
+— timsort merges the pre-sorted runs in C.  The builders cut each batch
+into per-key groups with ``bisect_left``, pack each group's oids and its
+digest text in one step, and write them into an immutable
 :class:`~repro.storage.segment.Segment`.
 
 The budget governs the *data-plane working set*: the pair buffer, the
-per-run merge read chunks, the largest single extent being assembled,
-and the open segment page.  ``OocBuildReport.peak_tracked_bytes``
-records the high-water mark of exactly that sum; process RSS is
-reported separately by the bench (the interpreter baseline dwarfs any
-small test budget and is not what the pager controls — see
+per-source merge read chunks, the merge batch cut from them, the
+largest single extent being assembled, and the open segment page.
+``OocBuildReport.peak_tracked_bytes`` records the high-water mark of
+exactly that sum, counting every pair at its packed 8 bytes; process
+RSS is reported separately by the bench (the interpreter baseline
+dwarfs any small test budget and is not what the pager controls — see
 ``docs/storage.md``).
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import os
-import struct
+import sys
 import tempfile
 import time
 from array import array
-from collections.abc import Callable, Iterable, Iterator
+from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import IO, TYPE_CHECKING, Any
 
-from repro.core.extents import Extent
 from repro.indexes.partition import kbisimulation_blocks, kbisimulation_levels
 from repro.obs import trace as _trace
 from repro.storage.pager import DEFAULT_PAGE_SIZE
@@ -48,11 +56,15 @@ if TYPE_CHECKING:
 BUDGET_ENV = "REPRO_STORAGE_BUDGET"
 DEFAULT_BUDGET_BYTES = 64 * 1024 * 1024
 
-_PAIR = struct.Struct("<II")
+#: Packed size of one ``(key, value)`` pair: a u64 composite.
+_PAIR_BYTES = 8
+_U32_MAX = 0xFFFFFFFF
+_VALUE_BITS = 32
 #: Upper bound on pairs per merge read chunk; the effective chunk size
-#: shrinks so that all open runs together stay under ~half the budget.
+#: shrinks so that the chunks (and the batch cut from them) stay under
+#: half of what the in-memory tail leaves of the budget.
 MAX_CHUNK_PAIRS = 2048
-MIN_CHUNK_PAIRS = 16
+MIN_CHUNK_PAIRS = 4
 
 
 def budget_from_env(default: int = DEFAULT_BUDGET_BYTES) -> int:
@@ -70,14 +82,44 @@ def budget_from_env(default: int = DEFAULT_BUDGET_BYTES) -> int:
     return value
 
 
+def _check_u32(what: str, value: int) -> None:
+    if not 0 <= value <= _U32_MAX:
+        raise ValueError(f"spill {what} {value} does not fit a u32")
+
+
+def _u32_words(what: str, items: Sequence[int]) -> array:
+    try:
+        return array("I", items)
+    except OverflowError:
+        for item in items:
+            _check_u32(what, item)
+        raise
+
+
+def _composites(key_words: array, value_words: array) -> list[int]:
+    """``key << 32 | value`` per pair of two u32 arrays, assembled as
+    interleaved words read back as u64s — no per-pair int arithmetic."""
+    words = array("I", bytes(2 * key_words.itemsize * len(key_words)))
+    low, high = (value_words, key_words) if sys.byteorder == "little" \
+        else (key_words, value_words)
+    words[0::2] = low
+    words[1::2] = high
+    return memoryview(words).cast("B").cast("Q").tolist()
+
+
 class SpillSorter:
     """External sort of ``(key, value)`` u32 pairs under a byte budget.
 
-    ``add`` pairs in any order; ``merge`` yields them sorted (stable
-    duplicates preserved).  The in-memory buffer is bounded: whenever
-    its packed size would exceed ``budget_bytes`` it is sorted and
-    written to a run file, so construction RAM stays ~budget no matter
-    how many pairs flow through.
+    ``add`` (one pair) or ``extend`` (parallel key and value sequences)
+    in any order; ``batches`` yields the pairs as ascending lists of
+    composite ints ``key << 32 | value``, and ``merge`` decodes them
+    back into ``(key, value)`` tuples (duplicates preserved).  Pairs
+    outside u32 are refused with ``ValueError`` before they are
+    buffered: a wide value would bleed into the key bits.  The
+    in-memory buffer is bounded: whenever it reaches ``budget_bytes``
+    of packed pairs it is sorted and written to a run file, so
+    construction RAM stays ~budget no matter how many pairs flow
+    through.
     """
 
     def __init__(self, budget_bytes: int | None = None,
@@ -86,8 +128,8 @@ class SpillSorter:
             else budget_from_env()
         if self.budget_bytes < 4096:
             raise ValueError("budget_bytes must be >= 4096")
-        self._buffer: list[tuple[int, int]] = []
-        self._buffer_capacity = max(64, self.budget_bytes // _PAIR.size)
+        self._buffer: list[int] = []
+        self._buffer_capacity = max(64, self.budget_bytes // _PAIR_BYTES)
         self._owned_tmpdir: tempfile.TemporaryDirectory | None = None
         if tmpdir is None:
             self._owned_tmpdir = tempfile.TemporaryDirectory(
@@ -99,80 +141,161 @@ class SpillSorter:
         self.spills = 0
         #: High-water mark of the buffer + merge working set, in bytes.
         self.peak_bytes = 0
+        #: Largest merge working set seen while a batch was handed out:
+        #: the in-memory tail plus every pair held in a read chunk or
+        #: the batch cut from them (the tail's own chunk is a copy and
+        #: counts twice), in bytes.
+        self.merge_peak_bytes = 0
 
     @property
     def runs(self) -> int:
         return len(self._runs)
 
     def buffer_bytes(self) -> int:
-        return len(self._buffer) * _PAIR.size
+        return len(self._buffer) * _PAIR_BYTES
 
     def chunk_pairs(self) -> int:
-        """Pairs per merge read chunk, sized so all runs fit ~budget/2."""
-        if not self._runs:
-            return MAX_CHUNK_PAIRS
-        fair = self.budget_bytes // (2 * _PAIR.size * len(self._runs))
+        """Pairs per merge read chunk: all sources share half of what
+        the in-memory tail leaves of the budget.
+
+        Every source (each run and the tail) holds one chunk; a batch is
+        cut out of those chunks, so chunks and batch together never hold
+        more than ``runs + 1`` chunks of pairs.
+        """
+        spare = self.budget_bytes - self.buffer_bytes()
+        fair = spare // (2 * _PAIR_BYTES * (len(self._runs) + 1))
         return max(MIN_CHUNK_PAIRS, min(MAX_CHUNK_PAIRS, fair))
 
-    def merge_bytes(self) -> int:
-        """Merge-time working set: one read chunk per run."""
-        return len(self._runs) * self.chunk_pairs() * _PAIR.size
-
-    def _note_peak(self, extra: int = 0) -> None:
-        used = self.buffer_bytes() + extra
+    def _note_peak(self, used: int) -> None:
         if used > self.peak_bytes:
             self.peak_bytes = used
 
     def add(self, key: int, value: int) -> None:
-        self._buffer.append((key, value))
+        _check_u32("key", key)
+        _check_u32("value", value)
+        self._buffer.append(key << _VALUE_BITS | value)
         self.pairs += 1
         if len(self._buffer) >= self._buffer_capacity:
-            self._note_peak()
             self._spill()
 
+    def extend(self, keys: Sequence[int], values: Sequence[int]) -> None:
+        """Add ``zip(keys, values)`` in bulk; same runs as per-pair ``add``.
+
+        Every pair is checked before any is buffered.
+        """
+        if len(values) != len(keys):
+            raise ValueError(
+                f"spill extend needs as many values as keys "
+                f"({len(values)} values, {len(keys)} keys)")
+        key_words = _u32_words("key", keys)
+        value_words = _u32_words("value", values)
+        start, count = 0, len(key_words)
+        while start < count:
+            stop = min(count,
+                       start + self._buffer_capacity - len(self._buffer))
+            self._buffer += _composites(key_words[start:stop],
+                                        value_words[start:stop])
+            self.pairs += stop - start
+            start = stop
+            if len(self._buffer) >= self._buffer_capacity:
+                self._spill()
+
     def _spill(self) -> None:
-        if not self._buffer:
-            return
+        self._note_peak(self.buffer_bytes())
         tracer = _trace.TRACER
         span = tracer.span("spill.run_write", pairs=len(self._buffer)) \
             if tracer.enabled else _trace.NULL_SPAN
         with span:
-            self._buffer.sort()
+            buffer = self._buffer
+            buffer.sort()
             path = os.path.join(self._tmpdir,
                                 f"run-{len(self._runs):05d}.pairs")
             with open(path, "wb") as out:
-                chunk: list[int] = []
-                for key, value in self._buffer:
-                    chunk.append(key)
-                    chunk.append(value)
-                    if len(chunk) >= 2 * MAX_CHUNK_PAIRS:
-                        out.write(struct.pack(f"<{len(chunk)}I", *chunk))
-                        chunk = []
-                if chunk:
-                    out.write(struct.pack(f"<{len(chunk)}I", *chunk))
+                for start in range(0, len(buffer), MAX_CHUNK_PAIRS):
+                    array("Q", buffer[start:start + MAX_CHUNK_PAIRS]) \
+                        .tofile(out)
             self._runs.append(path)
             self._buffer = []
             self.spills += 1
 
-    def _iter_run(self, path: str) -> Iterator[tuple[int, int]]:
-        chunk_bytes = self.chunk_pairs() * _PAIR.size
+    @staticmethod
+    def _read_run(path: str, chunk_pairs: int) -> Iterator[list[int]]:
         with open(path, "rb") as source:
             while True:
-                data = source.read(chunk_bytes)
-                if not data:
-                    break
-                count = len(data) // 4
-                flat = struct.unpack(f"<{count}I", data)
-                for position in range(0, count, 2):
-                    yield flat[position], flat[position + 1]
+                chunk = array("Q")
+                try:
+                    chunk.fromfile(source, chunk_pairs)
+                except EOFError:
+                    pass  # the short last chunk: ``chunk`` keeps it
+                if not chunk:
+                    return
+                yield chunk.tolist()
+
+    def _tail_chunks(self, chunk_pairs: int) -> Iterator[list[int]]:
+        tail = self._buffer
+        for start in range(0, len(tail), chunk_pairs):
+            yield tail[start:start + chunk_pairs]
+
+    def batches(self) -> Iterator[list[int]]:
+        """All pairs in ascending order, as sorted composite-int lists.
+
+        Each round cuts, from every source's current chunk, the prefix
+        up to the smallest chunk tail among them: every pair at or
+        below that bound is in hand, so the sorted concatenation is the
+        next stretch of the global order, and the sources whose chunk
+        ended at the bound move to their next chunk.  Two heaps (chunk
+        tails, next uncut pairs) keep a round to the sources it cuts,
+        however many runs there are.
+        """
+        self._buffer.sort()
+        chunk_pairs = self.chunk_pairs()
+        readers = [self._read_run(path, chunk_pairs) for path in self._runs]
+        readers.append(self._tail_chunks(chunk_pairs))
+        chunks: list[list[int]] = [[] for _ in readers]
+        starts = [0] * len(readers)
+        tails: list[tuple[int, int]] = []
+        fronts: list[tuple[int, int]] = []
+        outstanding = 0  # pairs in chunks not yet cut into a batch
+        tail_bytes = self.buffer_bytes()
+        refill = list(range(len(readers)))
+        while True:
+            for source in refill:
+                chunk = next(readers[source], None)
+                if chunk:
+                    chunks[source], starts[source] = chunk, 0
+                    heappush(tails, (chunk[-1], source))
+                    heappush(fronts, (chunk[0], source))
+                    outstanding += len(chunk)
+            if not tails:
+                return
+            # A pair cut into the batch leaves its chunk: chunks and
+            # batch hold what the chunks held before the cut.
+            used = tail_bytes + outstanding * _PAIR_BYTES
+            if used > self.merge_peak_bytes:
+                self.merge_peak_bytes = used
+                self._note_peak(used)
+            bound = tails[0][0]
+            batch: list[int] = []
+            while fronts and fronts[0][0] <= bound:
+                source = heappop(fronts)[1]
+                chunk, start = chunks[source], starts[source]
+                stop = bisect_right(chunk, bound, start)
+                batch += chunk[start:stop]
+                starts[source] = stop
+                if stop < len(chunk):
+                    heappush(fronts, (chunk[stop], source))
+            batch.sort()
+            outstanding -= len(batch)
+            yield batch
+            refill = []
+            while tails and tails[0][0] == bound:
+                refill.append(heappop(tails)[1])
 
     def merge(self) -> "Iterator[tuple[int, int]]":
-        """All pairs in sorted order; bounded-chunk run readers."""
-        self._buffer.sort()
-        self._note_peak(self.merge_bytes())
-        streams = [self._iter_run(path) for path in self._runs]
-        streams.append(iter(self._buffer))
-        return heapq.merge(*streams)
+        """All pairs in sorted order, as ``(key, value)`` tuples."""
+        for batch in self.batches():
+            for pair in batch:
+                yield pair >> _VALUE_BITS, pair & _U32_MAX
 
     def close(self) -> None:
         self._buffer = []
@@ -200,8 +323,8 @@ class OocBuildReport:
     runs: int = 0
     budget_bytes: int = 0
     #: High-water mark of the tracked data-plane working set (pair
-    #: buffer + merge chunks + largest extent under assembly + open
-    #: segment page).
+    #: buffer; or merge chunks and batch + largest extent under
+    #: assembly + open segment page).
     peak_tracked_bytes: int = 0
     #: Total extent payload bytes written (the "dataset size" the
     #: budget-ratio criterion compares against).
@@ -241,25 +364,41 @@ def extents_digest(
     return digest.hexdigest()
 
 
-def _grouped(
-        pairs: "Iterable[tuple[int, int]]") -> Iterator[tuple[int, array]]:
-    """Group a sorted pair stream by key; dedupes values per group."""
-    current = -1
-    values = array("i")
-    for key, value in pairs:
-        if key != current:
-            if current >= 0:
-                yield current, values
-            current = key
-            values = array("i")
-        if not values or values[-1] != value:
-            values.append(value)
-    if current >= 0:
-        yield current, values
+def _extent_records(
+        batches: "Iterable[list[int]]") -> Iterator[tuple[int, bytes, str]]:
+    """``(key, packed oids, oid digest text)`` per key of sorted batches.
+
+    Group boundaries come from one ``bisect_left`` per key; a group cut
+    by a batch boundary is carried into the next batch.  No dedupe: the
+    builders feed every ``(key, oid)`` exactly once.
+    """
+    key = -1
+    payloads: list[bytes] = []
+    texts: list[str] = []
+    for batch in batches:
+        values = [pair & _U32_MAX for pair in batch]
+        digits = list(map(str, values))
+        start, end = 0, len(batch)
+        while start < end:
+            group_key = batch[start] >> _VALUE_BITS
+            stop = bisect_left(batch, (group_key + 1) << _VALUE_BITS, start)
+            if group_key != key:
+                if key >= 0:
+                    yield key, b"".join(payloads), ",".join(texts)
+                key, payloads, texts = group_key, [], []
+            payloads.append(_pack_oids(values[start:stop]))
+            texts.append(",".join(digits[start:stop]))
+            start = stop
+    if key >= 0:
+        yield key, b"".join(payloads), ",".join(texts)
 
 
-def _pack_oids(values: array) -> bytes:
-    return struct.pack(f"<{len(values)}I", *values)
+def _pack_oids(oids: list[int]) -> bytes:
+    """Little-endian u32s: an extent payload."""
+    packed = array("I", oids)
+    if sys.byteorder != "little":
+        packed.byteswap()
+    return packed.tobytes()
 
 
 def _block_skeleton(graph: "DataGraph", blocks: list[int],
@@ -319,10 +458,9 @@ def build_ak_segment(graph: "DataGraph", k: int, path: str, *,
     label_ids = {label: position
                  for position, label in enumerate(sorted(graph.alphabet()))}
     meta = {"kind": "ak-extents", "k": k, "labels": sorted(graph.alphabet())}
-    skeleton = [_block_skeleton(graph, blocks, dense_of, label_ids, k)[0]]
+    level, node_of = _block_skeleton(graph, blocks, dense_of, label_ids, k)
     report = OocBuildReport(path=path, kind=f"A({k})")
-    _write_extent_segment(report, [(blocks, dense_of, 0)], meta, skeleton,
-                          path,
+    _write_extent_segment(report, [node_of], meta, [level], path,
                           budget_bytes=budget_bytes, page_size=page_size,
                           tmpdir=tmpdir, opener=opener)
     report.seconds = time.perf_counter() - started
@@ -355,7 +493,7 @@ def build_hierarchy_segment(graph: "DataGraph", k: int, path: str, *,
             f"{(k + 1) * graph.num_nodes} segment keys; keys must fit a u32")
     started = time.perf_counter()
     levels = kbisimulation_levels(graph, k)
-    level_specs = []
+    level_nodes = []
     skeleton = []
     label_ids = {label: position
                  for position, label in enumerate(sorted(graph.alphabet()))}
@@ -363,10 +501,10 @@ def build_hierarchy_segment(graph: "DataGraph", k: int, path: str, *,
     for level, blocks in enumerate(levels):
         dense_of = {block: dense
                     for dense, block in enumerate(sorted(set(blocks)))}
-        level_specs.append((blocks, dense_of, level))
         level_skeleton, above = _block_skeleton(
             graph, blocks, dense_of, label_ids, level, above)
         skeleton.append(level_skeleton)
+        level_nodes.append(above)
     meta = {
         "kind": "mstar-hierarchy",
         "k": k,
@@ -374,7 +512,7 @@ def build_hierarchy_segment(graph: "DataGraph", k: int, path: str, *,
         "labels": sorted(graph.alphabet()),
     }
     report = OocBuildReport(path=path, kind=f"M*({k})")
-    _write_extent_segment(report, level_specs, meta, skeleton, path,
+    _write_extent_segment(report, level_nodes, meta, skeleton, path,
                           budget_bytes=budget_bytes, page_size=page_size,
                           tmpdir=tmpdir, opener=opener)
     report.seconds = time.perf_counter() - started
@@ -385,37 +523,40 @@ def build_hierarchy_segment(graph: "DataGraph", k: int, path: str, *,
 
 
 def _write_extent_segment(
-        report: OocBuildReport,
-        level_specs: "list[tuple[list[int], dict[int, int], int]]",
+        report: OocBuildReport, level_nodes: "list[list[int]]",
         meta: dict, skeleton: list[SkeletonLevel], path: str, *,
         budget_bytes: int | None, page_size: int, tmpdir: str | None,
         opener: "Callable[..., IO[bytes]]") -> None:
+    """Spill every level's ``(level * stride + node, oid)`` pairs and
+    write them as one extent record per key.
+
+    ``level_nodes[level]`` is that level's oid -> node map, as
+    :func:`_block_skeleton` returns it.
+    """
     stride = meta.get("stride", 0)
     level_scalars, columns = encode_skeleton(skeleton)
     digest = hashlib.sha256()
     with SpillSorter(budget_bytes, tmpdir=tmpdir) as sorter:
-        for blocks, dense_of, level in level_specs:
+        for level, node_of in enumerate(level_nodes):
             base = level * stride
-            for oid, block in enumerate(blocks):
-                sorter.add(base + dense_of[block], oid)
+            keys = [base + nid for nid in node_of] if base else node_of
+            sorter.extend(keys, range(len(node_of)))
         writer = SegmentWriter(path, page_size=page_size,
                                meta={**meta, "levels": level_scalars},
                                columns=columns, opener=opener)
         try:
-            max_group = 0
-            for key, oids in _grouped(sorter.merge()):
-                payload = _pack_oids(oids)
+            max_group = max_page = 0
+            for key, payload, text in _extent_records(sorter.batches()):
                 writer.add(key, payload)
-                digest.update(b"%d:" % key)
-                digest.update(",".join(str(oid) for oid in oids)
-                              .encode("ascii"))
-                digest.update(b"\n")
+                digest.update(f"{key}:{text}\n".encode("ascii"))
                 report.payload_bytes += len(payload)
-                group_bytes = len(oids) * 4
-                if group_bytes > max_group:
-                    max_group = group_bytes
-            sorter._note_peak(sorter.merge_bytes() + max_group
-                              + writer.buffered_bytes)
+                if len(payload) > max_group:
+                    max_group = len(payload)
+                if writer.buffered_bytes > max_page:
+                    max_page = writer.buffered_bytes
+            # Each term is its own maximum, so the sum bounds the true
+            # simultaneous high-water mark from above.
+            sorter._note_peak(sorter.merge_peak_bytes + max_group + max_page)
             writer.finish()
         except BaseException:
             writer.abort()

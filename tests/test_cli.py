@@ -96,6 +96,18 @@ class TestOoc:
                      "--queries", "10", "--check"]) == 0
         out = capsys.readouterr().out
         assert "check OK" in out
+        for name in ("A(2)", "M*(2) hierarchy"):
+            stats = re.search(
+                rf"ooc: {re.escape(name)}: (\d+) extents.*?, (\d+) pairs "
+                rf"through (\d+) runs \((\d+) spills\)", out)
+            timing = re.search(
+                rf"ooc: {re.escape(name)}: peak tracked working set \d+ "
+                rf"bytes \([\d.]+x budget\) in ([\d.]+)s", out)
+            assert stats and timing, name
+            extents, pairs, runs, spills = map(int, stats.groups())
+            assert pairs >= extents > 0
+            assert runs == spills > 0  # the 4 KiB budget forced runs
+            assert float(timing.group(1)) > 0
         for name in ("A(2)", "M*(2)"):
             assert f"ooc: {name}: segment " in out
         assert out.count("bytes per payload byte") == 2

@@ -207,3 +207,74 @@ class TestHelpers:
     def test_extent_is_kbisimilar_with_precomputed_blocks(self, fig2):
         blocks = kbisimulation_blocks(fig2, 2)
         assert not extent_is_kbisimilar(fig2, {6, 7}, 2, blocks=blocks)
+
+
+class TestLazyNumpy:
+    """numpy is imported on the first vectorized refinement only."""
+
+    NUMPY_FLAGS = ("REPRO_PARTITION_NUMPY", "REPRO_GRAPH_NUMPY",
+                   "REPRO_EXTENT_NUMPY")
+
+    def _run(self, script, *args):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        env = {name: value for name, value in os.environ.items()
+               if name not in self.NUMPY_FLAGS}
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script, *args],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_serving_path_never_imports_numpy(self, tmp_path):
+        from repro.datasets.xmark import generate_xmark
+        from repro.storage.serialization import save_graph
+
+        document = str(tmp_path / "doc.rpgr")
+        save_graph(generate_xmark(scale=0.01, seed=3), document)
+        # What ``repro serve DOC --listen`` builds, driven over the wire
+        # through a query and a REFINE.
+        out = self._run(
+            "import sys\n"
+            "from repro import cli\n"
+            "from repro.net.client import NetClient\n"
+            "from repro.net.server import IndexServer\n"
+            "graph = cli._load_document(sys.argv[1])\n"
+            "serving = cli._build_serving_engine(graph, 1)\n"
+            "with IndexServer(serving, '127.0.0.1', 0, workers=1) as server:\n"
+            "    with NetClient(*server.address) as client:\n"
+            "        client.query('//site//person')\n"
+            "        client.refine()\n"
+            "print(sorted(name for name in sys.modules\n"
+            "             if name.split('.')[0] == 'numpy')[:1])\n",
+            document)
+        assert out.strip() == "[]"
+
+    def test_vectorized_path_still_runs_when_numpy_is_installed(self):
+        pytest.importorskip("numpy")
+        out = self._run(
+            "import os, sys\n"
+            "from repro.graph.examples import figure1_auction_site\n"
+            "from repro.indexes import partition\n"
+            "runs = []\n"
+            "class Spy(partition._VectorRefiner):\n"
+            "    def __init__(self, *args, **kwargs):\n"
+            "        runs.append(1)\n"
+            "        super().__init__(*args, **kwargs)\n"
+            "partition._VectorRefiner = Spy\n"
+            "graph = figure1_auction_site()\n"
+            "before = 'numpy' in sys.modules\n"
+            "levels = partition.kbisimulation_levels(graph, 2)\n"
+            "os.environ['REPRO_PARTITION_NUMPY'] = '0'\n"
+            "stdlib = partition.kbisimulation_levels(graph, 2)\n"
+            "print(before, 'numpy' in sys.modules, len(runs),\n"
+            "      levels == stdlib)\n")
+        assert out.split() == ["False", "True", "1", "True"]
